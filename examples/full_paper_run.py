@@ -23,11 +23,6 @@ Options:
   --no-vec                 disable the vectorized kernel tier and run the
                            scalar JIT (REPRO_NO_VEC=1); output is
                            byte-identical
-  --parexec                add the parallel-tier section: the loop-kernel
-                           predicted-vs-achieved speedup join plus the
-                           worker-count determinism gate (adds a few
-                           minutes of wall-clock; counters land in the
-                           run manifest)
 
 A cold run profiles the 48 synthetic benchmarks and sweeps the
 14-configuration grid (~30 s). Warm runs reuse the persistent profile
@@ -91,9 +86,6 @@ def main(argv):
                         help="use the closure interpreter backend")
     parser.add_argument("--no-vec", action="store_true",
                         help="disable the vectorized kernel tier")
-    parser.add_argument("--parexec", action="store_true",
-                        help="add the parallel-tier predicted-vs-achieved "
-                             "section and determinism gate")
     args = parser.parse_args(argv)
     if args.no_jit:
         # Environment so pool workers inherit the backend choice.
@@ -148,42 +140,6 @@ def main(argv):
 
         sections.insert(3, ("Parallelizability advisor", format_advice(
             advise_suites(runner, crosscheck=True))))
-        if args.parexec:
-            from repro.reporting.speedup_report import (
-                format_kernel_report,
-                format_soundness_report,
-                kernel_speedup_report,
-                parexec_soundness,
-            )
-
-            print("parallel tier: predicted vs achieved...", flush=True)
-            kernel_report = kernel_speedup_report(
-                workers_list=(1, 2), repeats=2
-            )
-            print("parallel tier: determinism gate...", flush=True)
-            soundness = parexec_soundness(workers_list=(1, 2))
-            sections.append((
-                "Parallel tier",
-                format_kernel_report(kernel_report) + "\n\n"
-                + format_soundness_report(soundness),
-            ))
-            telemetry.record_par_stats({
-                "achieved_vs_jit_geomeans": {
-                    str(n): v
-                    for n, v in kernel_report["achieved_geomeans"].items()
-                },
-                "achieved_vs_vec_geomeans": {
-                    str(n): v for n, v in
-                    kernel_report["achieved_vs_vec_geomeans"].items()
-                },
-                "soundness": {
-                    key: soundness[key]
-                    for key in ("programs", "runs_checked", "doall_loops",
-                                "pool_commits", "tls_commits",
-                                "tls_rollbacks")
-                },
-                "soundness_mismatches": len(soundness["mismatches"]),
-            })
     except BaseException:
         # Mark the run interrupted; its ledger already holds every
         # completed task, so --resume RUN_ID picks up from here.

@@ -41,6 +41,8 @@ JSONL ledger, so an interrupted sweep resumes via
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -48,7 +50,6 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from ..core.config import LPConfig
 from ..core.framework import Loopapalooza
 from ..errors import FrameworkError
-from ..runtime.faults import FAULT_SENTINEL_ENV, maybe_inject_fault
 from ..runtime.profile_store import ProfileStore, default_store
 from .programs import eembc, specfp2000, specfp2006, specint2000, specint2006
 
@@ -60,8 +61,11 @@ _CRASH_LOOP_LIMIT = 3
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
-# FAULT_SENTINEL_ENV is re-exported from runtime.faults (the sweep engine
-# and the parallel execution tier share one fault-injection mechanism).
+#: Test hook for the fault-injection smoke (``make sweep-fault-smoke``).
+#: When set to a path, exactly one worker task atomically creates the
+#: sentinel file and SIGKILLs itself; when set to ``always``, every worker
+#: task dies — exercising retry and quarantine respectively.
+FAULT_SENTINEL_ENV = "REPRO_SWEEP_FAULT_SENTINEL"
 
 NON_NUMERIC_SUITES = ("specint2000", "specint2006")
 NUMERIC_SUITES = ("eembc", "specfp2000", "specfp2006")
@@ -385,10 +389,18 @@ def _maybe_inject_fault():
 
     ``always`` kills every task (quarantine path); a path kills exactly one
     task fleet-wide — the sentinel file is created with ``O_EXCL`` so
-    concurrent workers race for a single SIGKILL (retry path). Shared with
-    the parallel execution tier via :mod:`repro.runtime.faults`.
+    concurrent workers race for a single SIGKILL (retry path).
     """
-    maybe_inject_fault(FAULT_SENTINEL_ENV)
+    sentinel = os.environ.get(FAULT_SENTINEL_ENV)
+    if not sentinel:
+        return
+    if sentinel != "always":
+        try:
+            fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except OSError:
+            return
+        os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _sweep_worker(full_name, config_names, fuel, cache_root):

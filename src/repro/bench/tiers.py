@@ -1,10 +1,9 @@
 """Tier benchmarking: wall-clock comparison of the execution tiers.
 
-Times plain (uninstrumented) execution on any subset of the four tiers
+Times plain (uninstrumented) execution on any subset of the three tiers
 — ``closure`` (reference interpreter), ``jit`` (scalar block-template
-JIT), ``vec`` (vector-enabled JIT), ``par`` (parallel tier: proved-DOALL
-chunks on worker processes, TLS elsewhere) — over either the bundled
-benchmark programs or the loop-throughput kernel suite
+JIT), ``vec`` (vector-enabled JIT) — over either the bundled benchmark
+programs or the loop-throughput kernel suite
 (:mod:`repro.bench.loop_kernels`).  ``repro bench --tiers ...`` is the
 CLI face; :func:`bench_row` shapes a result for
 ``BENCH_infrastructure.json``.
@@ -23,7 +22,7 @@ from ..frontend.codegen import compile_source
 from ..interp.interpreter import Interpreter
 from ..reporting.stats import geomean
 
-TIERS = ("closure", "jit", "vec", "par")
+TIERS = ("closure", "jit", "vec")
 
 #: The closure interpreter is ~2 orders slower than the JIT tiers; when
 #: it is among the timed tiers, callers may prefer fewer repeats.
@@ -31,7 +30,7 @@ DEFAULT_REPEATS = 3
 
 
 def parse_tiers(text):
-    """Validate a ``closure,jit,vec,par`` selection string, keeping order."""
+    """Validate a ``closure,jit,vec`` selection string, keeping order."""
     tiers = tuple(part.strip() for part in text.split(",") if part.strip())
     for tier in tiers:
         if tier not in TIERS:
@@ -44,20 +43,17 @@ def parse_tiers(text):
     return tiers
 
 
-def time_source(source, tier, repeats=DEFAULT_REPEATS, fuel=2_000_000_000,
-                par_workers=None):
+def time_source(source, tier, repeats=DEFAULT_REPEATS, fuel=2_000_000_000):
     """Best-of-``repeats`` plain execution time, compile excluded.
 
     Each repeat re-instantiates the interpreter on a pre-compiled module
     so warm code-cache behavior is measured (the cross-run steady state),
-    not first-compile latency. ``par_workers`` only affects the ``par``
-    tier (worker-pool width; None = auto).
+    not first-compile latency.
     """
     module = compile_source(source)
     best = float("inf")
     for _ in range(repeats):
-        machine = Interpreter(module, fuel=fuel, backend=tier,
-                              par_workers=par_workers)
+        machine = Interpreter(module, fuel=fuel, backend=tier)
         started = time.perf_counter()
         machine.run("main")
         best = min(best, time.perf_counter() - started)
@@ -75,14 +71,10 @@ def _finish_row(row, tiers):
         row["speedups"]["jit_vs_vec"] = round(
             row["times"]["jit"] / row["times"]["vec"], 3
         )
-    if "jit" in tiers and "par" in tiers and row["times"].get("par"):
-        row["speedups"]["jit_vs_par"] = round(
-            row["times"]["jit"] / row["times"]["par"], 3
-        )
     return row
 
 
-def bench_loop_kernels(tiers, repeats=DEFAULT_REPEATS, par_workers=None):
+def bench_loop_kernels(tiers, repeats=DEFAULT_REPEATS):
     """Time the loop-throughput kernel suite on each tier."""
     from ..interp.veccodegen import vector_decisions
     from .loop_kernels import loop_kernels
@@ -97,19 +89,16 @@ def bench_loop_kernels(tiers, repeats=DEFAULT_REPEATS, par_workers=None):
                 d["status"] == "vectorized" for d in decisions
             ),
             "times": {
-                tier: time_source(kernel.source, tier, repeats,
-                                  par_workers=par_workers)
+                tier: time_source(kernel.source, tier, repeats)
                 for tier in tiers
             },
             "speedups": {},
         }
         rows.append(_finish_row(row, tiers))
-    return {"mode": "loops", "tiers": list(tiers),
-            "par_workers": par_workers, "rows": rows}
+    return {"mode": "loops", "tiers": list(tiers), "rows": rows}
 
 
-def bench_programs(tiers, suite=None, repeats=DEFAULT_REPEATS,
-                   par_workers=None):
+def bench_programs(tiers, suite=None, repeats=DEFAULT_REPEATS):
     """Time bundled benchmark programs end-to-end on each tier."""
     from .suites import all_programs, suite_programs
 
@@ -119,8 +108,7 @@ def bench_programs(tiers, suite=None, repeats=DEFAULT_REPEATS,
         row = {
             "name": program.full_name,
             "times": {
-                tier: time_source(program.source, tier, repeats,
-                                  par_workers=par_workers)
+                tier: time_source(program.source, tier, repeats)
                 for tier in tiers
             },
             "speedups": {},
@@ -130,7 +118,6 @@ def bench_programs(tiers, suite=None, repeats=DEFAULT_REPEATS,
         "mode": "programs",
         "suite": suite,
         "tiers": list(tiers),
-        "par_workers": par_workers,
         "rows": rows,
     }
 
@@ -185,7 +172,6 @@ def bench_row(result, repeats):
         "mode": result["mode"],
         "suite": result.get("suite"),
         "tiers": result["tiers"],
-        "par_workers": result.get("par_workers"),
         "repeats": repeats,
         "rows": result["rows"],
         "geomeans": speedup_geomeans(result),

@@ -36,13 +36,9 @@ Commands:
   the sweep out over a process pool, ``--cache-dir`` relocates the
   profile store).
 * ``bench``           — list the bundled benchmarks; with ``--tiers
-  closure,jit,vec,par`` time them on each execution tier instead
+  closure,jit,vec`` time them on each execution tier instead
   (``--loops`` switches to the loop-throughput kernel suite, ``--json``
   appends the speedup table to a BENCH file).
-* ``parexec``         — parallel tier: predicted-vs-achieved speedup
-  report over the loop kernels (``--workers 1,2,4``), whole programs
-  (``--programs``), or the ``--suite`` determinism gate (every bundled
-  program byte-identical at every worker count).
 * ``vec-report``      — per-loop vectorizer decisions (a FILE or
   ``--bench``): which innermost loops the vector tier takes, each
   bailout's reason, and the aggregate histogram.
@@ -251,19 +247,7 @@ def _cache_stats(args, out, store):
         print(f"  entries: {info['entries']}", file=out)
         print(f"  size:    {info['size_bytes']} bytes", file=out)
         if "cap" in info:
-            print(f"  cap:     {info['cap']} entries "
-                  f"({info.get('evictions', 0)} evicted this process)",
-                  file=out)
-    from .interp.codegen import codegen_memo_stats
-    from .interp.veccodegen import vec_runtime_stats
-
-    memo = codegen_memo_stats()
-    window = vec_runtime_stats()
-    print("in-process bounds", file=out)
-    print(f"  jit memo:      {memo['memo_entries']}/{memo['memo_cap']} "
-          f"entries, {memo['memo_evictions']} evictions", file=out)
-    print(f"  gather windows: cap {window['window_cap']}/invocation, "
-          f"{window['window_evictions']} evictions", file=out)
+            print(f"  cap:     {info['cap']} entries", file=out)
     runs = list_runs(args.runs_dir)
     if not runs:
         print("no recorded runs (hit/miss tallies appear after a sweep)",
@@ -351,11 +335,9 @@ def _cmd_bench(args, out):
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.loops:
-        result = bench_loop_kernels(tiers, repeats=args.repeats,
-                                    par_workers=args.par_workers)
+        result = bench_loop_kernels(tiers, repeats=args.repeats)
     else:
-        result = bench_programs(tiers, suite=args.suite, repeats=args.repeats,
-                                par_workers=args.par_workers)
+        result = bench_programs(tiers, suite=args.suite, repeats=args.repeats)
     print(format_tier_table(result), file=out)
     if args.json:
         import json
@@ -371,54 +353,6 @@ def _cmd_bench(args, out):
             json.dump(data, handle, indent=2)
             handle.write("\n")
         print(f"appended tier_bench row to {args.json}", file=out)
-    return 0
-
-
-def _cmd_parexec(args, out):
-    """Parallel tier: predicted-vs-achieved speedup report, or the
-    ``--suite`` determinism gate (byte-identical at every worker count)."""
-    from .reporting.speedup_report import (
-        format_kernel_report,
-        format_program_report,
-        format_soundness_report,
-        kernel_speedup_report,
-        parexec_soundness,
-        program_speedup_report,
-    )
-
-    workers_list = tuple(
-        int(part) for part in str(args.workers).split(",") if part.strip()
-    )
-    if not workers_list or any(n < 1 for n in workers_list):
-        print("error: --workers needs a comma-separated list of counts >= 1",
-              file=sys.stderr)
-        return 2
-    if args.suite_check:
-        report = parexec_soundness(
-            workers_list=workers_list, suite=args.suite,
-            min_trip=args.min_trip,
-        )
-        print(format_soundness_report(report), file=out)
-        return 1 if report["mismatches"] else 0
-    if args.programs:
-        report = program_speedup_report(
-            suite=args.suite, workers_list=workers_list,
-            repeats=args.repeats, min_trip=args.min_trip,
-        )
-        print(format_program_report(report), file=out)
-    else:
-        report = kernel_speedup_report(
-            workers_list=workers_list, repeats=args.repeats,
-            min_trip=args.min_trip,
-        )
-        print(format_kernel_report(report), file=out)
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote report to {args.json}", file=out)
     return 0
 
 
@@ -697,7 +631,6 @@ def build_parser():
         ("transform", _cmd_transform, False),
         ("figures", _cmd_figures, False),
         ("bench", _cmd_bench, False),
-        ("parexec", _cmd_parexec, False),
         ("vec-report", _cmd_vec_report, False),
         ("cache", _cmd_cache, False),
         ("runs", _cmd_runs, False),
@@ -862,11 +795,7 @@ def build_parser():
             sub.add_argument(
                 "--tiers", default=None, metavar="TIERS",
                 help="time execution tiers instead of listing benchmarks: "
-                     "a comma-separated subset of closure,jit,vec,par",
-            )
-            sub.add_argument(
-                "--par-workers", type=int, default=None, metavar="N",
-                help="worker-pool width for the par tier (default: auto)",
+                     "a comma-separated subset of closure,jit,vec",
             )
             sub.add_argument(
                 "--loops", action="store_true",
@@ -887,41 +816,6 @@ def build_parser():
                 "--json", default=None, metavar="PATH",
                 help="append the result as a tier_bench row to this JSON "
                      "file (BENCH_infrastructure.json schema)",
-            )
-        if name == "parexec":
-            sub.add_argument(
-                "--workers", default="1,2,4", metavar="LIST",
-                help="comma-separated worker counts to measure/check "
-                     "(default: 1,2,4)",
-            )
-            sub.add_argument(
-                "--suite", dest="suite_check", action="store_true",
-                help="determinism gate: run every bundled program under "
-                     "the par backend at every worker count and require "
-                     "byte-identical profiles and outputs vs the vec "
-                     "baseline (exit 1 on any mismatch)",
-            )
-            sub.add_argument(
-                "--suite-name", dest="suite", default=None, metavar="NAME",
-                help="restrict --suite / --programs to one benchmark suite",
-            )
-            sub.add_argument(
-                "--programs", action="store_true",
-                help="whole-program predicted-vs-achieved report instead "
-                     "of the loop-kernel report",
-            )
-            sub.add_argument(
-                "--repeats", type=int, default=3,
-                help="repetitions per timing; best time wins (default: 3)",
-            )
-            sub.add_argument(
-                "--min-trip", type=int, default=1,
-                help="REPRO_PAR_MIN_TRIP override while the command runs "
-                     "(default: 1, so every proved loop reaches the pool)",
-            )
-            sub.add_argument(
-                "--json", default=None, metavar="PATH",
-                help="also write the raw report dict as JSON",
             )
         if name == "vec-report":
             sub.add_argument("file", nargs="?", default=None,

@@ -9,10 +9,9 @@ four agreements:
     stage both off and on. A frontend rejection of generated source also
     lands here — that is a generator bug, and just as quarantinable.
 ``backends``
-    The closure interpreter, the block-template JIT, the vector tier, and
-    the parallel tier (serial ``workers=1`` mode: typed shared-memory
-    lanes plus TLS sections, no pool) produce byte-identical serialized
-    profiles (and identical program result/output), per pipeline mode.
+    The closure interpreter, the block-template JIT, and the vector tier
+    produce byte-identical serialized profiles (and identical program
+    result/output), per pipeline mode.
 ``transforms``
     Observable behaviour (result + output) is identical with the
     structural-transform stage on vs. off.
@@ -43,11 +42,8 @@ from ..reporting.crosscheck import crosscheck_program
 from ..runtime.serialize import profile_to_dict
 from .genprog import generate_program, render
 
-#: The execution tiers the differential oracle compares. ``par`` runs
-#: in its serial one-worker mode (generated programs are far below any
-#: sensible pool dispatch threshold), which still differentially tests
-#: typed slot memory, local chunk kernels, and TLS commit paths.
-BACKENDS = ("closure", "jit", "vec", "par")
+#: The execution tiers the differential oracle compares.
+BACKENDS = ("closure", "jit", "vec")
 
 #: Oracle names in checking order. ``execution`` is the pseudo-oracle for
 #: runtime faults in generated programs; ``nest`` validates outer-loop

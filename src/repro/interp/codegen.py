@@ -74,12 +74,6 @@ from .interpreter import (
     unsigned_rem,
 )
 from .intrinsics import INTRINSICS
-from .parexec import (
-    PAR_VERSION,
-    emit_par_doall_section,
-    emit_tls_section,
-    plan_tls_loops,
-)
 from .veccodegen import (
     VEC_VERSION,
     emit_vec_section,
@@ -174,8 +168,7 @@ def _canonical_plan(function, plan):
     return json.dumps(data, sort_keys=True, default=repr)
 
 
-def jit_cache_key(function, plan, instrumented, vectorize=False,
-                  parallel=False):
+def jit_cache_key(function, plan, instrumented, vectorize=False):
     """Content hash identifying one generated source: codegen version,
     intrinsic cost table, variant, tier (scalar vs vector, with the
     vector template version), pipeline fingerprint, instrumentation plan,
@@ -190,12 +183,7 @@ def jit_cache_key(function, plan, instrumented, vectorize=False,
     module = getattr(function, "module", None)
     fingerprint = getattr(module, "pipeline_fingerprint", None) \
         if module is not None else None
-    if parallel:
-        tier = f"p{PAR_VERSION}v{VEC_VERSION}"
-    elif vectorize:
-        tier = f"v{VEC_VERSION}"
-    else:
-        tier = "nv"
+    tier = f"v{VEC_VERSION}" if vectorize else "nv"
     tag = (
         f"{CODEGEN_VERSION}|{int(bool(instrumented))}|{tier}|"
         f"{fingerprint or 'unpipelined'}|"
@@ -213,19 +201,15 @@ def jit_cache_key(function, plan, instrumented, vectorize=False,
 class _Emitter:
     """Builds the generated source for one (function, plan, variant)."""
 
-    def __init__(self, function, plan, instrumented, vectorize=False,
-                 parallel=False):
+    def __init__(self, function, plan, instrumented, vectorize=False):
         self.function = function
         # The uninstrumented variant ignores the plan entirely: every hook
         # in the closure backend is a no-op without a runtime attached.
         self.plan = plan if instrumented else None
         self.instrumented = instrumented
         self.vectorize = vectorize
-        self.parallel = parallel
         self.vec_loops = {}     # id(preheader block) -> VecLoopPlan
         self.vec_decisions = []
-        self.tls_loops = {}     # id(preheader block) -> TlsLoopPlan
-        self.tls_decisions = []
         self.labels = {}        # id(block) -> int label
         self.reg = {}           # id(value) -> local name
         self.batch = {}         # id(block) -> bool
@@ -299,13 +283,6 @@ class _Emitter:
         if self.vectorize:
             self.vec_loops, self.vec_decisions = plan_vector_loops(
                 function, self.plan, self.instrumented
-            )
-        if self.parallel and not self.instrumented:
-            # TLS sections exist only in the plain variant: speculative
-            # chunks cannot reproduce per-iteration profile events, and
-            # the scalar fallback must stay the bit-exact reference.
-            self.tls_loops, self.tls_decisions = plan_tls_loops(
-                function, self.vec_loops
             )
 
         for block in blocks:
@@ -447,17 +424,9 @@ class _Emitter:
             target = terminator.target
             vec = self.vec_loops.get(id(block))
             if vec is not None and target is vec.header:
-                # Kernel fast path first; falling through it lands on the
-                # unmodified scalar entry edge below. The parallel tier
-                # wraps the vector section behind a pool dispatch.
-                if self.parallel:
-                    out.extend(emit_par_doall_section(self, vec))
-                else:
-                    out.extend(emit_vec_section(self, vec))
-            elif self.parallel:
-                tls = self.tls_loops.get(id(block))
-                if tls is not None and tls.header is target:
-                    out.extend(emit_tls_section(self, tls))
+                # Vector fast path first; falling through it lands on the
+                # unmodified scalar entry edge below.
+                out.extend(emit_vec_section(self, vec))
             for text in self._edge_lines(block, target):
                 out.append((1, text))
             out.append((1, f"_L = {self.labels[id(target)]}"))
@@ -793,11 +762,9 @@ class _Emitter:
         return lines
 
 
-def generate_source(function, plan, instrumented, vectorize=False,
-                    parallel=False):
+def generate_source(function, plan, instrumented, vectorize=False):
     """Emit the Python source of one variant of ``function``."""
-    return _Emitter(function, plan, instrumented, vectorize,
-                    parallel).generate()
+    return _Emitter(function, plan, instrumented, vectorize).generate()
 
 
 # -- compilation and entry points -----------------------------------------------
@@ -808,28 +775,8 @@ def generate_source(function, plan, instrumented, vectorize=False,
 # Bounded LRU (insertion order + move-to-end on hit): long-lived processes
 # compiling many modules (sweeps, fuzzing) must not grow without limit.
 _CODE_MEMO = {}  # key -> (callable, source), LRU order
-_CODE_MEMO_CAP_ENV = "REPRO_CODE_MEMO_CAP"
-_CODE_MEMO_CAP_DEFAULT = 256
+_CODE_MEMO_CAP = 256
 _CODE_MEMO_STATS = {"evictions": 0}
-
-
-def _code_memo_cap():
-    raw = os.environ.get(_CODE_MEMO_CAP_ENV)
-    if not raw:
-        return _CODE_MEMO_CAP_DEFAULT
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _CODE_MEMO_CAP_DEFAULT
-
-
-def codegen_memo_stats():
-    """Observability for ``repro cache stats``."""
-    return {
-        "memo_entries": len(_CODE_MEMO),
-        "memo_cap": _code_memo_cap(),
-        "memo_evictions": _CODE_MEMO_STATS["evictions"],
-    }
 
 _NAMESPACE_TEMPLATE = None
 
@@ -867,8 +814,7 @@ def _dump_source(function, instrumented, key, source):
         pass  # debugging aid only; never break a run
 
 
-def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False,
-              parallel=False):
+def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False):
     """Return the compiled entry ``fn(machine, args) -> result`` for one
     variant of ``function``, consulting the in-process memo and the
     persistent code cache before generating source.
@@ -877,12 +823,9 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False,
     lowered; the caller is expected to fall back to the closure backend.
     """
     # A vector-tagged source must never be produced (or reused) in an
-    # environment without NumPy: normalize the tier before keying. The
-    # parallel tier builds on the vector planner, so it degrades the same
-    # way.
+    # environment without NumPy: normalize the tier before keying.
     vectorize = bool(vectorize) and vec_available()
-    parallel = bool(parallel) and vectorize
-    key = jit_cache_key(function, plan, instrumented, vectorize, parallel)
+    key = jit_cache_key(function, plan, instrumented, vectorize)
     memo = _CODE_MEMO.get(key)
     if memo is not None:
         _CODE_MEMO[key] = _CODE_MEMO.pop(key)  # LRU touch
@@ -896,22 +839,15 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False,
 
     source = code_cache.load(key) if code_cache is not None else None
     if source is None:
-        source = generate_source(function, plan, instrumented, vectorize,
-                                 parallel)
+        source = generate_source(function, plan, instrumented, vectorize)
         if code_cache is not None:
-            if parallel:
-                tier = "par"
-            elif vectorize:
-                tier = "vec"
-            else:
-                tier = "jit"
             code_cache.store(
                 key,
                 source,
                 meta={
                     "function": function.name,
                     "variant": "instr" if instrumented else "plain",
-                    "tier": tier,
+                    "tier": "vec" if vectorize else "jit",
                     "codegen_version": CODEGEN_VERSION,
                 },
             )
@@ -924,7 +860,7 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False,
     except SyntaxError as error:  # pragma: no cover - emitter bug guard
         raise CodegenUnsupported(f"generated source failed to compile: {error}")
     entry = namespace["_jit_run"]
-    while len(_CODE_MEMO) >= _code_memo_cap():
+    while len(_CODE_MEMO) >= _CODE_MEMO_CAP:
         _CODE_MEMO.pop(next(iter(_CODE_MEMO)))
         _CODE_MEMO_STATS["evictions"] += 1
     _CODE_MEMO[key] = (entry, source)

@@ -48,7 +48,6 @@ the affine model promised statically.
 from __future__ import annotations
 
 import math as _math
-import os as _os
 
 from ..analysis.depend import (
     DependenceAnalysis,
@@ -304,15 +303,6 @@ _vpre = _vaddr
 
 def _vconvi(space, base, n):
     """Convert ``n`` contiguous integer slots starting at ``base``."""
-    if space.typed:
-        if space._tag[base:base + n].any():
-            raise _VBail  # a float-tagged slot in the range
-        arr = space._ival[base:base + n]
-        if ((arr >= 2147483648) | (arr < -2147483648)).any():
-            raise _VBail
-        # Copy: gathers must capture the pre-kernel image; a view would
-        # alias later scatters into the same lane.
-        return arr.copy()
     values = space.slots[base:base + n]
     if set(map(type, values)) != {int}:
         raise _VBail
@@ -330,10 +320,6 @@ def _vconvi(space, base, n):
 
 def _vconvf(space, base, n):
     """Convert ``n`` contiguous float slots starting at ``base``."""
-    if space.typed:
-        if (space._tag[base:base + n] != 1).any():  # TAG_FLOAT
-            raise _VBail
-        return space._fval[base:base + n].copy()
     values = space.slots[base:base + n]
     # set(map(type, ...)) runs the whole scan in C; asarray alone cannot
     # stand in for it because a mixed int/float slice converts silently.
@@ -342,29 +328,10 @@ def _vconvf(space, base, n):
     return _np.fromiter(values, _np.float64, n)
 
 
-#: Gather-window cache bound (satellite of ISSUE 9): at most this many
-#: windows per kernel invocation; least-recently-used window is evicted.
-_WINDOW_CAP_ENV = "REPRO_VEC_WINDOW_CAP"
-_WINDOW_CAP_DEFAULT = 32
+#: Gather-window cache bound: at most this many windows per kernel
+#: invocation; the least-recently-used window is evicted.
+_WINDOW_CAP = 32
 _WINDOW_STATS = {"evictions": 0}
-
-
-def _window_cap():
-    raw = _os.environ.get(_WINDOW_CAP_ENV)
-    if not raw:
-        return _WINDOW_CAP_DEFAULT
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _WINDOW_CAP_DEFAULT
-
-
-def vec_runtime_stats():
-    """In-process vector-tier cache counters (for ``repro cache stats``)."""
-    return {
-        "window_cap": _window_cap(),
-        "window_evictions": _WINDOW_STATS["evictions"],
-    }
 
 
 def _vwindow(space, base, n, windows, convert):
@@ -397,7 +364,7 @@ def _vwindow(space, base, n, windows, convert):
             if index != len(windows) - 1:
                 windows.append(windows.pop(index))
             return arr[lo - new_lo:hi - new_lo]
-    if len(windows) >= _window_cap():
+    if len(windows) >= _WINDOW_CAP:
         del windows[0]
         _WINDOW_STATS["evictions"] += 1
     arr = convert(space, lo, n)
@@ -415,13 +382,6 @@ def _vgathi(space, ptrs, stride, n, cache=None):
     stop = base + stride * n
     if stop < 0:
         stop = None
-    if space.typed:
-        if space._tag[base:stop:stride].any():
-            raise _VBail
-        arr = space._ival[base:stop:stride]
-        if ((arr >= 2147483648) | (arr < -2147483648)).any():
-            raise _VBail
-        return arr.copy()
     values = space.slots[base:stop:stride]
     if set(map(type, values)) != {int}:
         raise _VBail
@@ -444,10 +404,6 @@ def _vgathf(space, ptrs, stride, n, cache=None):
     stop = base + stride * n
     if stop < 0:
         stop = None
-    if space.typed:
-        if (space._tag[base:stop:stride] != 1).any():  # TAG_FLOAT
-            raise _VBail
-        return space._fval[base:stop:stride].copy()
     values = space.slots[base:stop:stride]
     if set(map(type, values)) != {float}:
         raise _VBail
@@ -464,13 +420,6 @@ def _vg0i(space, ptr):
         p = ptr
     if p < 0 or p >= space._stack_pointer:
         raise _VBail
-    if space.typed:
-        if space._tag[p]:
-            raise _VBail
-        value = int(space._ival[p])
-        if not -2147483648 <= value < 2147483648:
-            raise _VBail
-        return value
     value = space.slots[p]
     if type(value) is not int or not -2147483648 <= value < 2147483648:
         raise _VBail
@@ -487,10 +436,6 @@ def _vg0f(space, ptr):
         p = ptr
     if p < 0 or p >= space._stack_pointer:
         raise _VBail
-    if space.typed:
-        if space._tag[p] != 1:  # TAG_FLOAT
-            raise _VBail
-        return float(space._fval[p])
     value = space.slots[p]
     if type(value) is not float:
         raise _VBail
@@ -505,30 +450,13 @@ def _vput(space, base, stride, n, values):
         # Only reachable with trip count 1 (a stride-0 store over more
         # iterations is a WAW loop-carried dependence and never DOALL).
         if isinstance(values, _np.ndarray):
-            last = values[n - 1].item()
+            space.slots[base] = values[n - 1].item()
         else:
-            last = values
-        if space.typed:
-            space._write(base, last)
-        else:
-            space.slots[base] = last
+            space.slots[base] = values
         return
     stop = base + stride * n
     if stop < 0:
         stop = None
-    if space.typed:
-        window = slice(base, stop, stride)
-        if isinstance(values, _np.ndarray):
-            is_float = values.dtype.kind == "f"
-        else:
-            is_float = isinstance(values, float)
-        if is_float:
-            space._fval[window] = values
-            space._tag[window] = 1  # TAG_FLOAT
-        else:
-            space._ival[window] = values
-            space._tag[window] = 0  # TAG_INT
-        return
     if isinstance(values, _np.ndarray):
         space.slots[base:stop:stride] = values.tolist()
     else:
@@ -1612,6 +1540,7 @@ class _VecEmitter:
         values need no materialization — the header is the only exiting
         block, so no body instruction dominates (or is visible in) any
         block outside the loop."""
+        em = self.em
         vec = self.vec
         out = []
         store_index = 0
@@ -1628,18 +1557,6 @@ class _VecEmitter:
             f"machine.vec_runs[{vec.loop_id!r}] = "
             f"machine.vec_runs.get({vec.loop_id!r}, 0) + 1"
         )
-        out.extend(self.epilogue_lines())
-        return out
-
-    def epilogue_lines(self, event_bases=None):
-        """Loop-exit closed forms shared by the vector and parallel commit
-        arms: header-phi final values, the exit compare, the bulk profile
-        delivery (with ``event_bases`` overriding the per-access base
-        expressions when the body ran out-of-process), the fuel charge,
-        and the jump to the exit block."""
-        em = self.em
-        vec = self.vec
-        out = []
         for phi in vec.phis:
             step = vec.phi_steps[id(phi)]
             start = em.expr(phi.incoming_for_block(vec.preheader))
@@ -1661,9 +1578,8 @@ class _VecEmitter:
         if em.instrumented:
             tuples = ", ".join(
                 f"({access.is_write!r}, {access.offset}, "
-                f"{event_bases[index] if event_bases is not None else self._event_base(access)}, "
-                f"{_c(access.stride)})"
-                for index, access in enumerate(vec.accesses)
+                f"{self._event_base(access)}, {_c(access.stride)})"
+                for access in vec.accesses
             )
             out.append(
                 f"_rt.vec_loop({vec.loop_id!r}, _cost, _vn, "
@@ -1686,15 +1602,20 @@ class _VecEmitter:
         return f"_vbase({self.expr(access.instruction.pointer)})"
 
 
-def emit_trip_prologue(emitter, vec_plan):
-    """``(lines, guard)`` binding ``_vn`` for one kernel section.
+def emit_vec_section(emitter, vec_plan):
+    """Source lines (indent, text) for one vector section, planted at the
+    top of the preheader's Br arm; indentation is relative to the arm
+    body. Falling out of the guards/``except`` continues into the
+    untouched scalar edge code, so every bail is a plain slow path.
 
-    A static trip count binds ``_vn`` to a literal (guard 0). A runtime
-    trip count computes ``_vn`` from the live start/bound registers and
-    opens a guard taken only when the count is in kernel range *and* the
-    IV's final value still fits i32 — the no-wrap proof that makes the
-    closed forms exact (see :func:`_trip_runtime`). Shared by the vector
-    section and the parallel tier's DOALL/TLS sections."""
+    A static trip count binds ``_vn`` to a literal. A runtime trip count
+    computes ``_vn`` from the live start/bound registers and takes the
+    kernel only when the count is in kernel range *and* the IV's final
+    value still fits i32 — the no-wrap proof that makes the closed form
+    exact (see :func:`_trip_runtime`)."""
+    section = _VecEmitter(emitter, vec_plan)
+    if vec_plan.accesses:
+        emitter.needs.add("space")
     lines = []
     guard = 0
     if vec_plan.trip is not None:
@@ -1717,18 +1638,6 @@ def emit_trip_prologue(emitter, vec_plan):
                          f"-2147483648 <= {start_expr} + {_c(step)} * _vn "
                          f"< 2147483648:"))
         guard = 1
-    return lines, guard
-
-
-def emit_vec_section(emitter, vec_plan):
-    """Source lines (indent, text) for one vector section, planted at the
-    top of the preheader's Br arm; indentation is relative to the arm
-    body. Falling out of the guards/``except`` continues into the
-    untouched scalar edge code, so every bail is a plain slow path."""
-    section = _VecEmitter(emitter, vec_plan)
-    if vec_plan.accesses:
-        emitter.needs.add("space")
-    lines, guard = emit_trip_prologue(emitter, vec_plan)
     lines.append((guard + 1, f"_vt = _cost + _vn * {vec_plan.iter_cost} "
                              f"+ {vec_plan.header_cost}"))
     lines.append((guard + 1, "if _vt <= _fuel:"))

@@ -6,11 +6,12 @@ is LRU-capped and counts its evictions:
 
 * the persistent on-disk :class:`CodeCache` (``REPRO_CODE_CACHE_CAP``,
   mtime-LRU, touched on every hit),
-* the in-process codegen memo (``REPRO_CODE_MEMO_CAP``), and
+* the in-process codegen memo (``codegen._CODE_MEMO_CAP``), and
 * the per-invocation gather-window cache in the vector runtime
-  (``REPRO_VEC_WINDOW_CAP``).
+  (``veccodegen._WINDOW_CAP``).
 
-All three surface in ``repro cache stats``.
+The two in-process bounds are constants; the tests shrink them with
+``monkeypatch`` to force evictions.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 import os
 
 from repro.frontend.codegen import compile_source
-from repro.interp.codegen import codegen_memo_stats
+from repro.interp import codegen, veccodegen
 from repro.interp.interpreter import Interpreter
-from repro.interp.veccodegen import vec_runtime_stats
 from repro.runtime.profile_store import (
     CODE_CACHE_CAP_DEFAULT,
     CodeCache,
@@ -86,21 +86,19 @@ def _run_jit(source):
 
 
 def test_codegen_memo_respects_cap(monkeypatch):
-    monkeypatch.setenv("REPRO_CODE_MEMO_CAP", "2")
+    monkeypatch.setattr(codegen, "_CODE_MEMO_CAP", 2)
     # One switch governs the profile store and the disk code cache; kill
     # both so this exercises the in-process memo only.
     monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", "1")
-    before = codegen_memo_stats()["memo_evictions"]
+    before = codegen._CODE_MEMO_STATS["evictions"]
     for salt in (101, 202, 303, 404):
         _run_jit(
             "int main() { int i; int acc; acc = 0;"
             f"  for (i = 0; i < 50; i = i + 1) {{ acc = acc + i * {salt}; }}"
             "  return acc & 255; }"
         )
-    stats = codegen_memo_stats()
-    assert stats["memo_cap"] == 2
-    assert stats["memo_entries"] <= 2
-    assert stats["memo_evictions"] > before
+    assert len(codegen._CODE_MEMO) <= 2
+    assert codegen._CODE_MEMO_STATS["evictions"] > before
 
 
 VEC_TWO_ARRAY_SOURCE = """
@@ -120,13 +118,11 @@ def test_vec_gather_window_cap_evicts(monkeypatch):
     """With the window cache capped at one entry, a kernel gathering two
     non-adjacent arrays must evict between them (and still be correct —
     eviction only costs a re-conversion)."""
-    monkeypatch.setenv("REPRO_VEC_WINDOW_CAP", "1")
-    before = vec_runtime_stats()["window_evictions"]
+    monkeypatch.setattr(veccodegen, "_WINDOW_CAP", 1)
+    before = veccodegen._WINDOW_STATS["evictions"]
     machine = Interpreter(compile_source(VEC_TWO_ARRAY_SOURCE),
                           backend="vec")
     result = machine.run("main")
     jit = Interpreter(compile_source(VEC_TWO_ARRAY_SOURCE), backend="jit")
     assert result == jit.run("main")
-    stats = vec_runtime_stats()
-    assert stats["window_cap"] == 1
-    assert stats["window_evictions"] > before
+    assert veccodegen._WINDOW_STATS["evictions"] > before

@@ -97,6 +97,31 @@ class TestCLI:
         code, _ = run_cli("run", str(path))
         assert code == 1
 
+    def test_cache_stats_prints_no_per_process_counters(self, tmp_path,
+                                                       monkeypatch):
+        # The CLI process compiles nothing itself, so counters of its own
+        # in-process caches would always read zero: only on-disk state and
+        # recorded runs belong in the output.
+        from repro.interp import codegen
+        from repro.runtime import profile_store
+        from repro.runtime.profile_store import ProfileStore
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_PROFILE_CACHE", raising=False)
+        monkeypatch.setattr(profile_store, "_DEFAULT_CODE_CACHE", None)
+        monkeypatch.setattr(codegen, "_CODE_MEMO", {})
+        Loopapalooza(DEMO, name="demo", store=ProfileStore(tmp_path)).profile()
+        assert profile_store.default_code_cache().entries()
+
+        code, text = run_cli("cache", "stats", "--cache-dir", str(tmp_path),
+                             "--runs-dir", str(tmp_path / "runs"))
+        assert code == 0
+        assert f"profile store at {tmp_path}" in text
+        assert f"code cache at {tmp_path / 'code'}" in text
+        assert "entries: 0" not in text
+        for counter in ("in-process", "memo", "gather", "evict"):
+            assert counter not in text
+
 
 class TestSerialization:
     def test_round_trip_dict(self):

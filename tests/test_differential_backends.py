@@ -1,6 +1,6 @@
 """Differential test: the closure interpreter, the block-template JIT,
-the vector tier, and the parallel tier must produce byte-identical
-profiles for every bundled benchmark.
+and the vector tier must produce byte-identical profiles for every
+bundled benchmark.
 
 This is the backend equivalence contract in its strongest form — not just
 matching results and instruction counts, but the full serialized
@@ -33,41 +33,14 @@ def test_backends_profile_identically(program):
     closure_profile, closure_output = _canonical_profile(program, "closure")
     jit_profile, jit_output = _canonical_profile(program, "jit")
     vec_profile, vec_output = _canonical_profile(program, "vec")
-    # Default dispatch thresholds: below REPRO_PAR_MIN_TRIP the par tier
-    # runs its serial path, which must still be byte-identical.
-    par_profile, par_output = _canonical_profile(program, "par")
     assert closure_profile == jit_profile
     assert closure_output == jit_output
     assert jit_profile == vec_profile
     assert jit_output == vec_output
-    assert vec_profile == par_profile
-    assert vec_output == par_output
-
-
-POOL_FORCED_PROGRAMS = [
-    "eembc/matrix", "eembc/autcor", "specint2000/mcf_like",
-    "specfp2000/art_like",
-]
-
-
-@pytest.mark.parametrize("full_name", POOL_FORCED_PROGRAMS)
-def test_par_pool_profiles_identically(full_name, monkeypatch):
-    """Four-way check with the worker pool actually engaged: every DOALL
-    section crosses the process boundary (``REPRO_PAR_MIN_TRIP=1``), and
-    the serialized profile must still match the closure interpreter."""
-    from repro.bench.suites import find_program
-
-    monkeypatch.setenv("REPRO_PAR_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PAR_MIN_TRIP", "1")
-    program = find_program(full_name)
-    closure_profile, closure_output = _canonical_profile(program, "closure")
-    par_profile, par_output = _canonical_profile(program, "par")
-    assert closure_profile == par_profile
-    assert closure_output == par_output
 
 
 @pytest.mark.parametrize(
-    "backend", ["closure", "jit", "vec", "par"]
+    "backend", ["closure", "jit", "vec"]
 )
 def test_static_doall_never_conflicts(backend):
     """Soundness of the static dependence engine against every backend: a

@@ -56,6 +56,15 @@ class TestAddressSpace:
         space.add_global(FakeGlobal())
         assert space.marks_for(1) is None
 
+    def test_nan_and_signed_zero_round_trip(self):
+        space = AddressSpace()
+        space.allocate(2, 0.0, None)
+        space.store(0, float("nan"))
+        space.store(1, -0.0)
+        assert math.isnan(space.load(0))
+        value = space.load(1)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
 
 class TestCostModel:
     def test_cost_equals_dynamic_instruction_count(self):

@@ -38,6 +38,22 @@ int main() {
 }
 """
 
+# An alloca reusing stack slots below the high-water mark is not zeroed:
+# probe's C[0..31] still hold scribble's B values (3i + 7 summed = 1712).
+STACK_REUSE = """
+int scribble(int k) { int B[32]; int i;
+  for (i = 0; i < 32; i = i + 1) { B[i] = k * i + 7; }
+  return B[31]; }
+int probe() { int C[48]; int i; int acc;
+  acc = 0;
+  for (i = 0; i < 48; i = i + 1) { acc = acc + C[i]; }
+  return acc; }
+int main() { int s;
+  s = scribble(3);
+  print_int(probe());
+  return s & 255; }
+"""
+
 
 def _run(source, backend, fuel=200_000_000):
     machine = Interpreter(
@@ -51,7 +67,6 @@ class TestBackendSelection:
     def test_default_is_vec(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_JIT", raising=False)
         monkeypatch.delenv("REPRO_NO_VEC", raising=False)
-        monkeypatch.delenv("REPRO_PAR", raising=False)
         assert backend_from_env() == "vec"
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
@@ -71,7 +86,6 @@ class TestBackendSelection:
         assert backend_from_env() == "closure"
 
     def test_falsy_env_values_keep_vec(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAR", raising=False)
         for value in ("", "0", "false"):
             monkeypatch.setenv("REPRO_NO_JIT", value)
             monkeypatch.setenv("REPRO_NO_VEC", value)
@@ -83,26 +97,30 @@ class TestBackendSelection:
         assert machine.backend == "jit"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(InterpError, match="backend"):
-            Interpreter(compile_source(TIGHT_LOOP), backend="bytecode")
+        for backend in ("bytecode", "par"):
+            with pytest.raises(InterpError, match="backend"):
+                Interpreter(compile_source(TIGHT_LOOP), backend=backend)
 
 
 class TestBackendParity:
     def test_uninstrumented_runs_match(self):
         assert _run(MIXED, "closure") == _run(MIXED, "jit")
+        for backend in ("closure", "jit", "vec"):
+            assert _run(STACK_REUSE, backend) == (100, 749, [1712])
 
     def test_profiles_serialize_identically(self):
         import json
 
         from repro.runtime.serialize import profile_to_dict
 
-        texts = []
-        for backend in ("closure", "jit"):
-            lp = Loopapalooza(MIXED, name="mixed", backend=backend)
-            texts.append(
-                json.dumps(profile_to_dict(lp.profile()), sort_keys=True)
-            )
-        assert texts[0] == texts[1]
+        for source in (MIXED, STACK_REUSE):
+            texts = []
+            for backend in ("closure", "jit", "vec"):
+                lp = Loopapalooza(source, name="parity", backend=backend)
+                texts.append(
+                    json.dumps(profile_to_dict(lp.profile()), sort_keys=True)
+                )
+            assert texts[0] == texts[1] == texts[2]
 
 
 class TestFuelAccounting:

@@ -105,6 +105,24 @@ def test_corrupt_ledger_lines_degrade_gracefully(tmp_path, grid_results):
     assert resumed.completed_results(task, list(CONFIGS)) is not None
 
 
+def test_ledger_with_retired_event_type_resumes(tmp_path, grid_results):
+    # Ledgers written while the parallel execution tier existed carry
+    # ``par_stats`` events: replay skips them as unknown, not corrupt.
+    telemetry = RunTelemetry.create(root=tmp_path)
+    task, results = next(iter(grid_results.items()))
+    telemetry.task_done(task, results)
+    with open(telemetry.ledger_path, "a") as handle:
+        handle.write(json.dumps({
+            "type": "par_stats",
+            "stats": {"soundness": {"runs_checked": 24},
+                      "soundness_mismatches": 0},
+        }) + "\n")
+    resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
+    assert resumed.corrupt_lines == 0
+    assert resumed.completed_results(task, list(CONFIGS)) is not None
+    assert "par_stats" not in resumed.summary()
+
+
 def test_manifest_aggregates(tmp_path, grid_results):
     telemetry = RunTelemetry.create(root=tmp_path)
     tasks = list(grid_results)

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Interpreter backend throughput tracker: ``make bench-interp``.
 
-Times the closure, scalar-JIT, vector, and parallel backends —
-uninstrumented execution and one instrumented profiling run — on a
-numeric kernel,
+Times the closure, scalar-JIT, and vector backends — uninstrumented
+execution and one instrumented profiling run — on a numeric kernel,
 then appends the
 measurement as a row under ``interp_backend_rows`` in
 BENCH_infrastructure.json (the same file ``make bench`` writes its
@@ -43,7 +42,7 @@ def measure(kernel_name=KERNEL_NAME):
     module = compile_source(source)
     lp = Loopapalooza(source, "bench_interp")
     row = {"kernel": kernel_name, "time": time.time(), "backends": {}}
-    for backend in ("closure", "jit", "vec", "par"):
+    for backend in ("closure", "jit", "vec"):
 
         def run_plain():
             machine = Interpreter(module, backend=backend)
@@ -76,14 +75,9 @@ def measure(kernel_name=KERNEL_NAME):
     row["jit_speedup_instrumented"] = round(
         closure["instrumented_s"] / jit["instrumented_s"], 3
     )
-    par = row["backends"]["par"]
     row["vec_speedup_plain"] = round(jit["plain_s"] / vec["plain_s"], 3)
     row["vec_speedup_instrumented"] = round(
         jit["instrumented_s"] / vec["instrumented_s"], 3
-    )
-    row["par_speedup_plain"] = round(vec["plain_s"] / par["plain_s"], 3)
-    row["par_speedup_instrumented"] = round(
-        vec["instrumented_s"] / par["instrumented_s"], 3
     )
     return row
 
@@ -110,8 +104,6 @@ def main():
           f"{row['jit_speedup_instrumented']}x instrumented")
     print(f"vec speedup over JIT: {row['vec_speedup_plain']}x plain, "
           f"{row['vec_speedup_instrumented']}x instrumented")
-    print(f"par speedup over vec: {row['par_speedup_plain']}x plain, "
-          f"{row['par_speedup_instrumented']}x instrumented")
     print(f"row appended to {BENCH_FILE.name}")
     return 0
 
