@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench bench-interp sweep-smoke sweep-fault-smoke figures examples clean
+.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench sweep-smoke sweep-fault-smoke figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -37,9 +37,6 @@ fuzz-report:
 bench:
 	pytest benchmarks/ --benchmark-only \
 		--benchmark-json=BENCH_infrastructure.json
-
-bench-interp:
-	python tools/bench_interp.py
 
 sweep-smoke:
 	python -c "\

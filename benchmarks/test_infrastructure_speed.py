@@ -8,8 +8,6 @@
 Run: ``pytest benchmarks/test_infrastructure_speed.py --benchmark-only``
 """
 
-import time
-
 import pytest
 
 from repro.bench import find_program
@@ -27,10 +25,10 @@ def test_compile_throughput(benchmark):
     assert module.get_function("main").blocks
 
 
-@pytest.mark.parametrize("backend", ["closure", "jit"])
+@pytest.mark.parametrize("backend", ["jit"])
 def test_interpreter_throughput(benchmark, backend):
     module = compile_source(KERNEL)
-    # Warm run outside the timer: fuses closures / compiles JIT templates.
+    # Warm run outside the timer: compiles the JIT templates.
     Interpreter(module, backend=backend).run("main")
 
     def run():
@@ -44,15 +42,15 @@ def test_interpreter_throughput(benchmark, backend):
     benchmark.extra_info["ir_instructions"] = cost
 
 
-@pytest.mark.parametrize("backend", ["closure", "jit"])
+@pytest.mark.parametrize("backend", ["jit"])
 def test_profiling_overhead(benchmark, backend):
     """One instrumented profiling run over a precompiled module.
 
     Compilation and the uninstrumented baseline happen once, outside the
     timer, so the measurement isolates the profiling overhead itself (and
     never touches the persistent profile store). The assertion is the
-    fast-path invariant: instrumentation — hooks, batching, fused blocks,
-    JIT event buffers — must not change the dynamic IR instruction count.
+    fast-path invariant: instrumentation — hooks, batching, JIT event
+    buffers — must not change the dynamic IR instruction count.
     """
     lp = Loopapalooza(KERNEL, "overhead_probe", backend=backend)
     baseline_cost = lp.run_uninstrumented()[1]
@@ -70,29 +68,6 @@ def test_profiling_overhead(benchmark, backend):
     cost = benchmark(profile_instrumented)
     assert cost == baseline_cost
     benchmark.extra_info["baseline_cost"] = baseline_cost
-
-
-def _best_wall(module, backend, repeats=3):
-    Interpreter(module, backend=backend).run("main")  # warm
-    times = []
-    for _ in range(repeats):
-        machine = Interpreter(module, backend=backend)
-        start = time.perf_counter()
-        machine.run("main")
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
-def test_jit_speed_gate():
-    """The JIT backend's reason to exist: on a numeric kernel it must beat
-    the closure interpreter by a healthy margin (measured ~3x; gated at
-    1.5x to absorb machine noise)."""
-    module = compile_source(KERNEL)
-    closure = _best_wall(module, "closure")
-    jit = _best_wall(module, "jit")
-    assert jit * 1.5 <= closure, (
-        f"JIT {jit:.3f}s vs closure {closure:.3f}s — under the 1.5x gate"
-    )
 
 
 def test_evaluation_latency(benchmark):

@@ -17,12 +17,6 @@ Options:
                            task is quarantined to the serial path
   --runs-dir DIR           run-ledger location (default:
                            ~/.cache/repro/runs or REPRO_RUNS_DIR)
-  --no-jit                 run on the closure interpreter instead of the
-                           JIT backend (REPRO_NO_JIT=1); output is
-                           byte-identical, only slower
-  --no-vec                 disable the vectorized kernel tier and run the
-                           scalar JIT (REPRO_NO_VEC=1); output is
-                           byte-identical
 
 A cold run profiles the 48 synthetic benchmarks and sweeps the
 14-configuration grid (~30 s). Warm runs reuse the persistent profile
@@ -32,7 +26,6 @@ and produces byte-identical output.
 """
 
 import argparse
-import os
 import pathlib
 import sys
 import time
@@ -82,16 +75,7 @@ def main(argv):
                         help="retries before quarantining a task")
     parser.add_argument("--runs-dir", default=None,
                         help="run-ledger directory")
-    parser.add_argument("--no-jit", action="store_true",
-                        help="use the closure interpreter backend")
-    parser.add_argument("--no-vec", action="store_true",
-                        help="disable the vectorized kernel tier")
     args = parser.parse_args(argv)
-    if args.no_jit:
-        # Environment so pool workers inherit the backend choice.
-        os.environ["REPRO_NO_JIT"] = "1"
-    if args.no_vec:
-        os.environ["REPRO_NO_VEC"] = "1"
 
     start = time.time()
     runner = SuiteRunner(cache_dir=args.cache_dir)

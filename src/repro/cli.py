@@ -21,10 +21,11 @@ Commands:
   every post-transform DOALL proof (``--crosscheck``).
 * ``fuzz``            — differential fuzzing: generate seeded MiniC
   programs (``--seed --count --profile``), run the four-way oracle on
-  each (closure/jit/vec byte-equality, transform observational safety,
-  static-DOALL soundness, per-stage IR verification), delta-minimize and
-  quarantine any disagreement under ``fuzz_corpus/``; ``--replay CASE``
-  re-runs one quarantined reproducer.
+  each (per-stage IR verification of one compile per pipeline mode,
+  byte-equality of its profiles on the reference interpreter and the
+  jit/vec tiers, transform observational safety, static-DOALL
+  soundness), delta-minimize and quarantine any disagreement under
+  ``fuzz_corpus/``; ``--replay CASE`` re-runs one quarantined reproducer.
 * ``evaluate FILE``   — evaluate one or more configurations (``--config``,
   repeatable; defaults to the paper's 14).
 * ``diagnose FILE``   — per-loop relaxation ladder: the first configuration
@@ -54,7 +55,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .core.config import LPConfig, paper_configurations
@@ -604,18 +604,6 @@ def build_parser():
     )
     parser.add_argument("--fuel", type=int, default=200_000_000,
                         help="dynamic IR instruction budget")
-    parser.add_argument(
-        "--no-jit", action="store_true",
-        help="run on the closure interpreter instead of the JIT backend "
-             "(equivalent to REPRO_NO_JIT=1; profiles are identical either "
-             "way, this only trades speed for simplicity)",
-    )
-    parser.add_argument(
-        "--no-vec", action="store_true",
-        help="disable the vectorized kernel tier and run the scalar JIT "
-             "(equivalent to REPRO_NO_VEC=1; profiles are identical either "
-             "way)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, needs_file in (
@@ -847,12 +835,6 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_jit:
-        # Environment, not a constructor argument: worker processes spawned
-        # by `figures --jobs` must inherit the backend choice too.
-        os.environ["REPRO_NO_JIT"] = "1"
-    if args.no_vec:
-        os.environ["REPRO_NO_VEC"] = "1"
     try:
         return args.handler(args, out)
     except ReproError as error:

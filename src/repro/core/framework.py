@@ -38,15 +38,14 @@ class Loopapalooza:
     """
 
     def __init__(self, source, name="program", fuel=200_000_000,
-                 verify_each=False, inline=False, store=None, backend=None,
+                 verify_each=False, inline=False, store=None, backend="vec",
                  transform=None):
         self.name = name
         self.fuel = fuel
         self.source = source
         self.inline = inline
         self.store = store
-        #: Interpreter backend ("vec" / "jit" / "closure"); ``None`` follows the
-        #: ``REPRO_NO_JIT`` environment contract.
+        #: Interpreter backend: "vec" (the default), "jit" or "closure".
         self.backend = backend
         if transform is None:
             from ..passes.pass_manager import transform_enabled

@@ -1,24 +1,26 @@
 """The four-way differential oracle and the fuzzing campaign driver.
 
-For each program the harness compiles once per pipeline mode and checks
-four agreements:
+For each program the harness compiles once per pipeline mode, with the
+verifier run after every pass stage, and profiles that one module on
+every backend. It checks four agreements:
 
 ``verifier``
     The IR is verifier-clean after *every* pass stage
-    (``compile_source(verify_each=True)``), with the structural-transform
-    stage both off and on. A frontend rejection of generated source also
-    lands here — that is a generator bug, and just as quarantinable.
+    (``verify_each=True``), with the structural-transform stage both off
+    and on. A frontend rejection of generated source also lands here —
+    that is a generator bug, and just as quarantinable.
 ``backends``
-    The closure interpreter, the block-template JIT, and the vector tier
-    produce byte-identical serialized profiles (and identical program
-    result/output), per pipeline mode.
+    The reference interpreter (``closure``), the block-template JIT, and
+    the vector tier produce byte-identical serialized profiles (and
+    identical program result/output), per pipeline mode.
 ``transforms``
     Observable behaviour (result + output) is identical with the
     structural-transform stage on vs. off.
 ``crosscheck``
     No statically-proved DOALL loop shows a dynamic conflict
     (``unsound-static-doall == 0``), per pipeline mode — the soundness
-    invariant from PR 4, now a continuously tested property.
+    invariant from PR 4, now a continuously tested property. It reads the
+    first backend's profile.
 
 An execution fault (trap, fuel exhaustion) is reported under the
 ``execution`` pseudo-oracle: generated programs are trap-free by
@@ -37,8 +39,9 @@ import time
 from ..core.framework import Loopapalooza
 from ..errors import ReproError, VerificationError
 from ..analysis.depend import VERDICT_DOALL
-from ..frontend.codegen import compile_source
+from ..interp.interpreter import Interpreter
 from ..reporting.crosscheck import crosscheck_program
+from ..runtime.recorder import ProfilingRuntime
 from ..runtime.serialize import profile_to_dict
 from .genprog import generate_program, render
 
@@ -102,28 +105,42 @@ def _mode(transform):
     return "on" if transform else "off"
 
 
-def _profile_key(lp):
-    """(serialized-profile, result, output) — the byte-equality triple."""
-    profile = lp.profile()
+def _profile_key(lp, backend):
+    """(serialized-profile, result, output) of ``lp``'s module run on
+    ``backend`` — the byte-equality triple. ``lp``'s own backend gives its
+    cached profile, which the crosscheck and nest oracles then read."""
+    if backend == lp.backend:
+        profile, output = lp.profile(), lp.output
+    else:
+        runtime = ProfilingRuntime(lp.name)
+        machine = Interpreter(lp.module, runtime, lp.instrumentation,
+                              fuel=lp.fuel, backend=backend)
+        runtime.attach(machine)
+        result = machine.run("main")
+        profile, output = runtime.finish(machine.cost, result), machine.output
     text = json.dumps(profile_to_dict(profile), sort_keys=True)
-    return text, profile.result, tuple(lp.output)
+    return text, profile.result, tuple(output)
 
 
 def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
     """Run the four-way oracle on one MiniC source; an :class:`OracleReport`.
 
-    Compiles and profiles the program ``2 x len(backends)`` times (every
-    backend, transforms off and on); all comparisons come from those runs.
+    Compiles the program twice (transforms off and on, verifying after
+    every pass stage) and profiles each module once per backend; all
+    comparisons come from those runs.
     """
     started = time.perf_counter()
     failures = []
     checks = {oracle: "ok" for oracle in ORACLES}
 
-    # Oracle 1: verifier-clean IR after every pass stage, both modes.
+    # Oracle 1: verifier-clean IR after every pass stage, both modes. The
+    # verified compile is the module every later oracle profiles.
+    lps = {}
     for transform in (False, True):
         try:
-            compile_source(source, module_name=name, verify_each=True,
-                           transform=transform)
+            lps[transform] = Loopapalooza(
+                source, name=name, fuel=fuel, verify_each=True,
+                backend=backends[0], transform=transform)
         except VerificationError as error:
             checks["verifier"] = "fail"
             failures.append(OracleFailure(
@@ -148,13 +165,11 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
 
     # Oracles 2-4 share one profile run per (backend, transform mode).
     keys = {}
-    closure_lps = {}
     for transform in (False, True):
         for backend in backends:
-            lp = Loopapalooza(source, name=name, fuel=fuel, backend=backend,
-                              transform=transform)
             try:
-                keys[(transform, backend)] = _profile_key(lp)
+                keys[(transform, backend)] = _profile_key(lps[transform],
+                                                          backend)
             except ReproError as error:
                 checks["execution"] = "fail"
                 failures.append(OracleFailure(
@@ -167,8 +182,6 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
                     checks[oracle] = "skipped"
                 return OracleReport(name, failures, checks,
                                     time.perf_counter() - started)
-            if backend == "closure":
-                closure_lps[transform] = lp
 
     # Oracle 2: all backends byte-identical, per mode.
     reference_backend = backends[0]
@@ -195,11 +208,7 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
         ))
 
     # Oracle 4: no unsound STATIC_DOALL, per mode.
-    for transform in (False, True):
-        lp = closure_lps.get(transform)
-        if lp is None:  # backends subset without "closure"
-            lp = Loopapalooza(source, name=name, fuel=fuel,
-                              backend=backends[0], transform=transform)
+    for transform, lp in lps.items():
         rows = crosscheck_program(lp, name)
         unsound = [row for row in rows
                    if row.category == "unsound-static-doall"]

@@ -1,8 +1,9 @@
 """repro.interp — the IR interpreter (execution substrate).
 
-A closure-compiling interpreter over the repro IR with a flat slot-addressed
-memory model, the library-intrinsic registry, and the instrumentation hook
-plumbing the Loopapalooza runtime plugs into.
+The execution backends over the repro IR (the reference interpreter and
+the jit/vec template JITs) with a flat slot-addressed memory model, the
+library-intrinsic registry, and the instrumentation hook plumbing the
+Loopapalooza runtime plugs into.
 """
 
 from .interpreter import FunctionInstrumentation, Interpreter, run_module

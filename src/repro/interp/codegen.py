@@ -1,7 +1,7 @@
 """Block-template JIT: lower verified IR functions to Python source.
 
-Instead of interpreting pre-compiled closures per IR op, each function is
-lowered once to a Python function whose body is straight-line code:
+Instead of interpreting the IR one instruction at a time, each function
+is lowered once to a Python function whose body is straight-line code:
 
 * every SSA value becomes a local variable (``r0``, ``r1``, ...);
 * ``_wrap32`` arithmetic, comparisons, and GEP address math are inlined as
@@ -16,12 +16,11 @@ callback overhead — no runtime, no timestamps, just the fuel charge per
 block. The *instrumented* one batches memory and register-LCD events of
 each call-free block into flat lists flushed once per block through
 :meth:`ProfilingRuntime.deliver_block_events`; blocks containing calls
-emit events immediately (callee events and call records interleave), which
-is exactly the closure backend's batching rule.
+emit events immediately (callee events and call records interleave).
 
 The dynamic cost lives in a local ``_cost`` synced to ``machine.cost`` in
 a ``try``/``finally`` and around every call, so fuel accounting and every
-event timestamp match the closure backend bit for bit (enforced by
+event timestamp match the reference interpreter bit for bit (enforced by
 ``tests/test_differential_backends.py``).
 
 With ``vectorize=True`` (the ``vec`` backend) the emitter additionally
@@ -37,7 +36,7 @@ and on disk via :class:`repro.runtime.profile_store.CodeCache` with a
 tier tag (``jit`` vs ``vec``); set ``REPRO_JIT_DUMP=<dir>`` to dump each
 generated source for debugging. Anything the emitter cannot lower raises
 :class:`CodegenUnsupported` and the interpreter silently falls back to
-the closure backend for that one function.
+the reference interpreter for that one function.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ CODEGEN_VERSION = 2
 
 class CodegenUnsupported(Exception):
     """The function uses a construct the template JIT cannot lower; the
-    caller falls back to the closure backend for that function."""
+    caller falls back to the reference interpreter for that function."""
 
 
 _ICMP = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
@@ -203,8 +202,8 @@ class _Emitter:
 
     def __init__(self, function, plan, instrumented, vectorize=False):
         self.function = function
-        # The uninstrumented variant ignores the plan entirely: every hook
-        # in the closure backend is a no-op without a runtime attached.
+        # The uninstrumented variant ignores the plan entirely: the
+        # reference interpreter fires no hook without a runtime attached.
         self.plan = plan if instrumented else None
         self.instrumented = instrumented
         self.vectorize = vectorize
@@ -458,8 +457,8 @@ class _Emitter:
         raise CodegenUnsupported(f"unknown terminator {terminator!r}")
 
     def _edge_lines(self, pred, succ, skip_actions=False):
-        """Code run when control flows pred -> succ, in the closure
-        backend's order: edge actions at the current cost, then the
+        """Code run when control flows pred -> succ, in the reference
+        interpreter's order: edge actions at the current cost, then the
         parallel phi copies, then the phi def/use hooks.
         ``skip_actions`` serves the vector sections, whose bulk delivery
         has already produced the edge's loop events."""
@@ -717,7 +716,7 @@ class _Emitter:
             raise CodegenUnsupported(f"binary opcode {opcode}")
 
         # i1 (and any other non-32 width): plain Python semantics, same as
-        # the closure backend's non-32 table.
+        # the reference interpreter's non-32 table.
         width = type_.width
         if opcode in ("add", "sub", "mul", "and", "or", "xor", "shl", "ashr"):
             operator = {"add": "+", "sub": "-", "mul": "*", "and": "&",
@@ -783,7 +782,7 @@ _NAMESPACE_TEMPLATE = None
 
 def _base_namespace():
     """Globals for generated code: exceptions and the division helpers
-    shared verbatim with the closure backend."""
+    shared verbatim with the reference interpreter."""
     global _NAMESPACE_TEMPLATE
     if _NAMESPACE_TEMPLATE is None:
         from ..errors import FuelExhausted, TrapError
@@ -820,7 +819,8 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False):
     persistent code cache before generating source.
 
     Raises :class:`CodegenUnsupported` when the function cannot be
-    lowered; the caller is expected to fall back to the closure backend.
+    lowered; the caller is expected to fall back to the reference
+    interpreter.
     """
     # A vector-tagged source must never be produced (or reused) in an
     # environment without NumPy: normalize the tier before keying.

@@ -6,17 +6,21 @@ instruction count as the approximation of execution time"). Cost is charged
 per basic block, matching the paper's hard-coded per-block callbacks; events
 within a block carry ``block_base + position`` timestamps.
 
-Three execution backends share this module's semantics:
+Three execution backends share this module's semantics, chosen by the
+``backend`` argument:
 
 * ``vec`` (the default) — the template JIT below, plus whole-loop NumPy
   kernels for loops the static dependence engine proves STATIC_DOALL
-  (see :mod:`repro.interp.veccodegen`). Disabled with ``REPRO_NO_VEC=1``.
+  (see :mod:`repro.interp.veccodegen`).
 * ``jit`` — each function is lowered to straight-line Python source by
   :mod:`repro.interp.codegen`, ``compile()``d once, and executed as a
   native code object (see docs/internals.md, "Codegen backend").
-* ``closure`` — each function is pre-compiled to closures once (operand
-  access resolved to register indices), interpreted by a tight dispatch
-  loop. Selected with ``backend="closure"`` or ``REPRO_NO_JIT=1``.
+* ``closure`` — the reference interpreter: it walks the IR one
+  instruction at a time and delivers every runtime event the moment it
+  happens. It is the independent oracle the fast tiers are checked
+  against, kept deliberately plain (see docs/internals.md, "Reference
+  interpreter"). The JIT tiers also fall back to it, per function, for
+  anything the code generator cannot lower.
 
 All backends charge fuel identically (per block, at block entry) and
 produce byte-identical profiles (enforced by
@@ -35,7 +39,6 @@ and builds the execution profile.
 
 from __future__ import annotations
 
-import os
 import sys
 
 from ..errors import FuelExhausted, InterpError, TrapError
@@ -46,7 +49,6 @@ from ..ir.instructions import (
     Br,
     Call,
     Cast,
-    CondBr,
     FCmp,
     ICmp,
     Load,
@@ -67,27 +69,7 @@ def _wrap32(value):
     return value - 0x100000000 if value & _SIGN32 else value
 
 
-def _truthy_env(name):
-    value = os.environ.get(name)
-    return value is not None and value.strip().lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
-def backend_from_env():
-    """The default execution backend: the vector-enabled JIT (``vec``)
-    unless ``REPRO_NO_VEC`` is truthy (scalar ``jit``) or ``REPRO_NO_JIT``
-    is truthy (``closure``); ``1``/``true``/``yes`` are truthy,
-    ``0``/``false``/empty are not — same boolean-env contract as
-    ``REPRO_NO_PROFILE_CACHE``."""
-    if _truthy_env("REPRO_NO_JIT"):
-        return "closure"
-    if _truthy_env("REPRO_NO_VEC"):
-        return "jit"
-    return "vec"
-
-
-# -- shared division semantics (both backends) ----------------------------------
+# -- shared division semantics (all backends) -----------------------------------
 #
 # C/LLVM truncating division over two's-complement bit patterns. The one
 # hardware edge the obvious Python spellings get wrong is INT_MIN / -1: the
@@ -135,6 +117,13 @@ def unsigned_rem(a, b, width=32):
     return _wrap32(value) if width == 32 else value
 
 
+_DIVISIONS = {
+    "sdiv": signed_div,
+    "srem": signed_rem,
+    "udiv": unsigned_div,
+    "urem": unsigned_rem,
+}
+
 _INT_OPS = {
     "add": lambda a, b: _wrap32(a + b),
     "sub": lambda a, b: _wrap32(a - b),
@@ -150,8 +139,18 @@ _INT_OPS = {
     "lshr": lambda a, b: _wrap32((a & _MASK32) >> (b & 31)),
 }
 
-# udiv/urem are handled as special cases alongside sdiv/srem (they trap on a
-# zero divisor, so they cannot live in the pure-function table above).
+# i1/i64 arithmetic: plain Python semantics suffice (``lshr`` at these
+# widths needs the width, see _binary_op).
+_WIDE_INT_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << b,
+    "ashr": lambda a, b: a >> b,
+}
 
 _FLOAT_OPS = {
     "fadd": lambda a, b: a + b,
@@ -179,7 +178,7 @@ _FCMP_OPS = {
 
 
 class FunctionInstrumentation:
-    """Per-function callback plan consumed by the compiler.
+    """Per-function callback plan consumed by every backend.
 
     Attributes (all keyed by object ids of IR entities):
 
@@ -215,174 +214,149 @@ class FunctionInstrumentation:
         )
 
 
-class _CompiledBlock:
-    __slots__ = ("cost", "ops", "run", "phi_moves", "terminator")
-
-    def __init__(self):
-        self.cost = 0
-        self.ops = []
-        self.run = None       # fused closure over ops (None when no ops)
-        self.phi_moves = {}   # id(pred) -> closure(machine, regs)
-        self.terminator = None
+# -- the reference interpreter's instruction semantics ---------------------------
+#
+# One function per instruction class: ``(machine, instruction, values, ts)``
+# -> the instruction's value (None for void instructions). ``values`` maps
+# id() of each SSA value of the running frame to its run-time value; memory
+# events are delivered to the runtime at ``ts``.
 
 
-def _fuse_ops(ops):
-    """Fuse a block's op closures into one callable.
-
-    The dispatch loop then makes a single call per block instead of
-    iterating a list — small blocks (the common case after mem2reg) are
-    specialized to straight-line calls with no loop at all.
-    """
-    if not ops:
-        return None
-    if len(ops) == 1:
-        return ops[0]
-    if len(ops) == 2:
-        op0, op1 = ops
-
-        def run2(machine, regs, base, op0=op0, op1=op1):
-            op0(machine, regs, base)
-            op1(machine, regs, base)
-        return run2
-    if len(ops) == 3:
-        op0, op1, op2 = ops
-
-        def run3(machine, regs, base, op0=op0, op1=op1, op2=op2):
-            op0(machine, regs, base)
-            op1(machine, regs, base)
-            op2(machine, regs, base)
-        return run3
-    if len(ops) == 4:
-        op0, op1, op2, op3 = ops
-
-        def run4(machine, regs, base, op0=op0, op1=op1, op2=op2, op3=op3):
-            op0(machine, regs, base)
-            op1(machine, regs, base)
-            op2(machine, regs, base)
-            op3(machine, regs, base)
-        return run4
-    ops = tuple(ops)
-
-    def run_many(machine, regs, base, ops=ops):
-        for op in ops:
-            op(machine, regs, base)
-    return run_many
+def _operand(machine, values, value):
+    """The run-time value of an operand: SSA values are read from the
+    frame, constants and globals resolve here."""
+    key = id(value)
+    if key in values:
+        return values[key]
+    if isinstance(value, (ConstantInt, ConstantFloat)):
+        return value.value
+    if isinstance(value, GlobalVariable):
+        return machine.global_bases[value.name]
+    raise InterpError(f"operand {value!r} has no value in this frame")
 
 
-def _fn_binop(dst, lhs, rhs, fn):
-    """``regs[dst] = fn(a, b)`` specialized on operand shapes (register
-    index vs constant), eliminating the getter indirection per operand."""
-    ls, rs = lhs.slot, rhs.slot
-    if ls is not None and rs is not None:
-        def op(machine, regs, base, dst=dst, ls=ls, rs=rs, fn=fn):
-            regs[dst] = fn(regs[ls], regs[rs])
-    elif ls is not None:
-        rc = rhs.const
-
-        def op(machine, regs, base, dst=dst, ls=ls, rc=rc, fn=fn):
-            regs[dst] = fn(regs[ls], rc)
-    elif rs is not None:
-        lc = lhs.const
-
-        def op(machine, regs, base, dst=dst, lc=lc, rs=rs, fn=fn):
-            regs[dst] = fn(lc, regs[rs])
-    else:
-        lc, rc = lhs.const, rhs.const
-
-        def op(machine, regs, base, dst=dst, lc=lc, rc=rc, fn=fn):
-            regs[dst] = fn(lc, rc)
-    return op
+def _binary_op(machine, instruction, values, ts):
+    a = _operand(machine, values, instruction.lhs)
+    b = _operand(machine, values, instruction.rhs)
+    opcode = instruction.opcode
+    if opcode in _FLOAT_OPS:
+        return _FLOAT_OPS[opcode](a, b)
+    if opcode == "fdiv":
+        if b == 0.0:
+            raise TrapError("float division by zero")
+        return a / b
+    # The IR admits only the integer opcodes below on integer types.
+    width = instruction.type.width
+    if opcode in _DIVISIONS:
+        return _DIVISIONS[opcode](a, b, width)
+    if width == 32:
+        return _INT_OPS[opcode](a, b)
+    if opcode == "lshr":
+        # The unsigned view of the bit pattern; widths are powers of two,
+        # so ``& (width - 1)`` masks the shift amount.
+        return (a & ((1 << width) - 1)) >> (b & (width - 1))
+    return _WIDE_INT_OPS[opcode](a, b)
 
 
-def _fn_cmp(dst, lhs, rhs, fn):
-    """``regs[dst] = 1 if fn(a, b) else 0`` with the same operand-shape
-    specialization as :func:`_fn_binop`."""
-    ls, rs = lhs.slot, rhs.slot
-    if ls is not None and rs is not None:
-        def op(machine, regs, base, dst=dst, ls=ls, rs=rs, fn=fn):
-            regs[dst] = 1 if fn(regs[ls], regs[rs]) else 0
-    elif ls is not None:
-        rc = rhs.const
-
-        def op(machine, regs, base, dst=dst, ls=ls, rc=rc, fn=fn):
-            regs[dst] = 1 if fn(regs[ls], rc) else 0
-    elif rs is not None:
-        lc = lhs.const
-
-        def op(machine, regs, base, dst=dst, lc=lc, rs=rs, fn=fn):
-            regs[dst] = 1 if fn(lc, regs[rs]) else 0
-    else:
-        lc, rc = lhs.const, rhs.const
-
-        def op(machine, regs, base, dst=dst, lc=lc, rc=rc, fn=fn):
-            regs[dst] = 1 if fn(lc, rc) else 0
-    return op
+def _icmp(machine, instruction, values, ts):
+    compare = _ICMP_OPS[instruction.predicate]
+    a = _operand(machine, values, instruction.lhs)
+    b = _operand(machine, values, instruction.rhs)
+    return 1 if compare(a, b) else 0
 
 
-def _inline_arith32(opcode, dst, lhs, rhs):
-    """Fully inlined 32-bit add/sub/mul for the dominant operand shapes
-    (loop counters and array indexing); ``None`` when not applicable."""
-    ls, rs = lhs.slot, rhs.slot
-    if ls is None:
-        return None
-    if opcode == "add":
-        if rs is not None:
-            def op(machine, regs, base, dst=dst, ls=ls, rs=rs):
-                value = (regs[ls] + regs[rs]) & _MASK32
-                regs[dst] = value - 0x100000000 if value & _SIGN32 else value
-            return op
-        rc = rhs.const
-
-        def op(machine, regs, base, dst=dst, ls=ls, rc=rc):
-            value = (regs[ls] + rc) & _MASK32
-            regs[dst] = value - 0x100000000 if value & _SIGN32 else value
-        return op
-    if opcode == "sub":
-        if rs is not None:
-            def op(machine, regs, base, dst=dst, ls=ls, rs=rs):
-                value = (regs[ls] - regs[rs]) & _MASK32
-                regs[dst] = value - 0x100000000 if value & _SIGN32 else value
-            return op
-        rc = rhs.const
-
-        def op(machine, regs, base, dst=dst, ls=ls, rc=rc):
-            value = (regs[ls] - rc) & _MASK32
-            regs[dst] = value - 0x100000000 if value & _SIGN32 else value
-        return op
-    if opcode == "mul":
-        if rs is not None:
-            def op(machine, regs, base, dst=dst, ls=ls, rs=rs):
-                value = (regs[ls] * regs[rs]) & _MASK32
-                regs[dst] = value - 0x100000000 if value & _SIGN32 else value
-            return op
-        rc = rhs.const
-
-        def op(machine, regs, base, dst=dst, ls=ls, rc=rc):
-            value = (regs[ls] * rc) & _MASK32
-            regs[dst] = value - 0x100000000 if value & _SIGN32 else value
-        return op
-    return None
+def _fcmp(machine, instruction, values, ts):
+    compare = _FCMP_OPS[instruction.predicate]
+    a = _operand(machine, values, instruction.lhs)
+    b = _operand(machine, values, instruction.rhs)
+    return 1 if compare(a, b) else 0
 
 
-_RETURN = object()
+def _alloca(machine, instruction, values, ts):
+    allocated = instruction.allocated_type
+    zero = 0.0 if _alloc_zero_is_float(allocated) else 0
+    runtime = machine.runtime
+    marks = runtime.current_marks() if runtime is not None else None
+    return machine.space.allocate(allocated.size_in_slots(), zero, marks)
 
 
-class _CompiledFunction:
-    __slots__ = ("function", "blocks", "entry_id", "num_regs", "arg_regs",
-                 "edge_hooks", "latch_getters")
+def _load(machine, instruction, values, ts):
+    address = _operand(machine, values, instruction.pointer)
+    value = machine.space.load(address)
+    if machine.runtime is not None:
+        machine.runtime.mem_read(address, ts)
+    return value
 
-    def __init__(self, function):
-        self.function = function
-        self.blocks = {}
-        self.entry_id = None
-        self.num_regs = 0
-        self.arg_regs = []
-        self.edge_hooks = {}
-        self.latch_getters = {}
+
+def _store(machine, instruction, values, ts):
+    address = _operand(machine, values, instruction.pointer)
+    machine.space.store(address, _operand(machine, values, instruction.value))
+    if machine.runtime is not None:
+        machine.runtime.mem_write(address, ts)
+
+
+def _gep(machine, instruction, values, ts):
+    address = _operand(machine, values, instruction.pointer)
+    element = instruction.pointer.type.pointee
+    for index in instruction.indices:
+        if element.is_array:
+            element = element.element
+        address += element.size_in_slots() * _operand(machine, values, index)
+    return address
+
+
+def _call_instruction(machine, instruction, values, ts):
+    callee = instruction.callee
+    args = [_operand(machine, values, arg) for arg in instruction.args]
+    if callee.is_intrinsic:
+        # An intrinsic costs ``cost`` IR instructions; its call slot was
+        # charged with the block.
+        machine.cost += max(0, callee.intrinsic.cost - 1)
+        if machine.cost > machine.fuel:
+            raise FuelExhausted(machine.fuel)
+    return machine._call(callee, args)
+
+
+def _select(machine, instruction, values, ts):
+    if _operand(machine, values, instruction.condition):
+        return _operand(machine, values, instruction.true_value)
+    return _operand(machine, values, instruction.false_value)
+
+
+def _cast(machine, instruction, values, ts):
+    value = _operand(machine, values, instruction.value)
+    opcode = instruction.opcode
+    if opcode == "sitofp":
+        return float(value)
+    if opcode == "fptosi":
+        return _wrap32(int(value))
+    if opcode == "zext":
+        return value
+    if opcode == "trunc":
+        width = instruction.type.width
+        raw = value & ((1 << width) - 1)
+        if width > 1 and raw >= (1 << (width - 1)):
+            raw -= 1 << width
+        return raw
+    raise InterpError(f"unsupported cast opcode {opcode}")
+
+
+_EXECUTE = {
+    BinaryOp: _binary_op,
+    ICmp: _icmp,
+    FCmp: _fcmp,
+    Alloca: _alloca,
+    Load: _load,
+    Store: _store,
+    GEP: _gep,
+    Call: _call_instruction,
+    Select: _select,
+    Cast: _cast,
+}
 
 
 class Interpreter:
-    """Compiles and executes a module, firing runtime callbacks.
+    """Executes a module on one backend, firing runtime callbacks.
 
     Args:
         module: a verified IR module with a ``main`` function.
@@ -390,15 +364,12 @@ class Interpreter:
         instrumentation: optional ``{function_name: FunctionInstrumentation}``.
         fuel: dynamic IR instruction budget (guards runaway programs).
         backend: ``"vec"`` (vector-enabled template JIT, the default),
-            ``"jit"`` (scalar template JIT), ``"closure"`` (reference
-            closure interpreter), or ``None`` to follow the
-            ``REPRO_NO_VEC`` / ``REPRO_NO_JIT`` environment contract.
+            ``"jit"`` (scalar template JIT) or ``"closure"`` (the
+            reference interpreter).
     """
 
     def __init__(self, module, runtime=None, instrumentation=None,
-                 fuel=200_000_000, backend=None):
-        if backend is None:
-            backend = backend_from_env()
+                 fuel=200_000_000, backend="vec"):
         if backend not in ("vec", "jit", "closure"):
             raise InterpError(
                 f"unknown interpreter backend {backend!r} "
@@ -415,7 +386,7 @@ class Interpreter:
         self.prng_state = 0x853C49E6748FEA9B
         self.input_cursor = 0
         self.global_bases = {}
-        self._compiled = {}
+        self._decoded = {}
         self._jit_entries = {}
         self._jit_failed = set()
         # Vector-tier observability: loop_id -> count of committed kernel
@@ -424,9 +395,6 @@ class Interpreter:
         self.vec_runs = {}
         self.vec_bailouts = {}
         self._call_depth = 0
-        # Per-block batch of (is_write, address, ts) memory events, flushed
-        # to the runtime after each call-free block's ops (see _call).
-        self._membuf = []
         for variable in module.globals.values():
             self.global_bases[variable.name] = self.space.add_global(variable)
 
@@ -437,7 +405,6 @@ class Interpreter:
         function = self.module.get_function(function_name)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 10_000))
-        self._membuf.clear()  # a prior aborted run may have left events
         try:
             return self._call(function, list(args))
         finally:
@@ -445,564 +412,23 @@ class Interpreter:
 
     # -- memory primitives (also used by intrinsic implementations) -------------
 
-    def load_slot(self, address, ts=None):
+    def load_slot(self, address):
         value = self.space.load(address)
         if self.runtime is not None:
-            self.runtime.mem_read(address, self.cost if ts is None else ts)
+            self.runtime.mem_read(address, self.cost)
         return value
 
-    def store_slot(self, address, value, ts=None):
+    def store_slot(self, address, value):
         self.space.store(address, value)
         if self.runtime is not None:
-            self.runtime.mem_write(address, self.cost if ts is None else ts)
-
-    def marks_for(self, address):
-        return self.space.marks_for(address)
-
-    # -- compilation ---------------------------------------------------------------
-
-    def _compiled_for(self, function):
-        compiled = self._compiled.get(function.name)
-        if compiled is None:
-            plan = self.instrumentation.get(function.name)
-            compiled = self._compile_function(function, plan)
-            self._compiled[function.name] = compiled
-        return compiled
-
-    def _compile_function(self, function, plan):
-        compiled = _CompiledFunction(function)
-        reg_index = {}
-
-        def reg_for(value):
-            key = id(value)
-            slot = reg_index.get(key)
-            if slot is None:
-                slot = len(reg_index)
-                reg_index[key] = slot
-            return slot
-
-        for argument in function.arguments:
-            compiled.arg_regs.append(reg_for(argument))
-
-        # First pass: assign registers to every value-producing instruction
-        # so forward references (phis) resolve.
-        for block in function.blocks:
-            for instruction in block.instructions:
-                if not instruction.type.is_void:
-                    reg_for(instruction)
-
-        def getter(value):
-            """Return a closure fetching the operand's runtime value.
-
-            The closure carries ``slot``/``const`` attributes (exactly one is
-            non-``None``) so per-op compilers can inline the fetch — a
-            register index or a constant — instead of calling through it.
-            """
-            if isinstance(value, (ConstantInt, ConstantFloat)):
-                constant = value.value
-
-                def get(regs, constant=constant):
-                    return constant
-                get.slot, get.const = None, constant
-                return get
-            if isinstance(value, GlobalVariable):
-                base = self.global_bases[value.name]
-
-                def get(regs, base=base):
-                    return base
-                get.slot, get.const = None, base
-                return get
-            from ..ir.function import Function as IRFunction
-
-            if isinstance(value, IRFunction):
-                raise InterpError("function values cannot be operands here")
-            slot = reg_index[id(value)]
-
-            def get(regs, slot=slot):
-                return regs[slot]
-            get.slot, get.const = slot, None
-            return get
-
-        for block in function.blocks:
-            compiled_block = _CompiledBlock()
-            compiled.blocks[id(block)] = compiled_block
-            compiled_block.cost = len(block.instructions)
-            # Memory events from a call-free block can be delivered to the
-            # runtime in one batch after the block's ops: no call/loop/frame
-            # event can interleave, so the runtime observes the same state it
-            # would have per-event. Calls (including intrinsics, which may
-            # emit their own memory events) and call-result-use hooks (which
-            # race mem_read for the first-dependence timestamp) force
-            # immediate emission.
-            batch = self.runtime is not None and not any(
-                isinstance(i, Call)
-                or (plan is not None and plan.call_use_hooks.get(id(i)))
-                for i in block.instructions
-            )
-            position = 0
-            phis = []
-            for instruction in block.instructions:
-                if isinstance(instruction, Phi):
-                    phis.append(instruction)
-                    position += 1
-                    continue
-                if instruction.is_terminator:
-                    terminator = self._compile_terminator(
-                        instruction, getter, reg_index
-                    )
-                    if plan is not None:
-                        use_entries = plan.use_hooks.get(id(instruction))
-                        if use_entries:
-                            terminator = self._wrap_terminator_uses(
-                                terminator, use_entries, position
-                            )
-                    compiled_block.terminator = terminator
-                else:
-                    op = self._compile_op(
-                        instruction, getter, reg_index, position, plan, batch
-                    )
-                    if op is not None:
-                        compiled_block.ops.append(op)
-                position += 1
-            if compiled_block.terminator is None:
-                raise InterpError(
-                    f"block {block.name} in @{function.name} lacks a terminator"
-                )
-            compiled_block.run = _fuse_ops(compiled_block.ops)
-            if phis:
-                self._compile_phi_moves(
-                    compiled_block, block, phis, getter, reg_index, plan
-                )
-
-        compiled.entry_id = id(function.entry_block)
-        compiled.num_regs = len(reg_index)
-        if plan is not None:
-            compiled.edge_hooks = dict(plan.edge_actions)
-            self._attach_latch_values(compiled, function, plan, getter)
-        return compiled
-
-    def _attach_latch_values(self, compiled, function, plan, getter):
-        """Resolve latch-value references into reg getters, stored alongside
-        the edge key for the dispatch loop to ship with ``loop_iter``."""
-        resolved = {}
-        for edge_key, specs in plan.latch_values.items():
-            resolved[edge_key] = [
-                (phi_key, getter(value_ref)) for phi_key, value_ref in specs
-            ]
-        compiled.latch_getters = resolved
-
-    def _compile_phi_moves(self, compiled_block, block, phis, getter, reg_index, plan):
-        """Parallel phi assignment per incoming edge (gather then scatter)."""
-        predecessors = set()
-        for phi in phis:
-            predecessors.update(id(b) for b in phi.incoming_blocks)
-        runtime = self  # machine reference for hooks
-        for pred_id in predecessors:
-            moves = []
-            hooks = []
-            for phi in phis:
-                for value, pred in phi.incoming():
-                    if id(pred) == pred_id:
-                        moves.append((reg_index[id(phi)], getter(value)))
-                        break
-            if plan is not None:
-                for phi in phis:
-                    for entry in plan.def_hooks.get(id(phi), ()):
-                        hooks.append(("def", entry, reg_index[id(phi)]))
-                    for entry in plan.use_hooks.get(id(phi), ()):
-                        hooks.append(("use", entry, reg_index[id(phi)]))
-            if not hooks:
-                if len(moves) == 1:
-                    # One phi: no parallel-copy staging needed.
-                    dst, get = moves[0]
-                    src = get.slot
-                    if src is not None:
-                        def move(machine, regs, base, dst=dst, src=src):
-                            regs[dst] = regs[src]
-                    else:
-                        constant = get.const
-
-                        def move(machine, regs, base, dst=dst, constant=constant):
-                            regs[dst] = constant
-                    compiled_block.phi_moves[pred_id] = move
-                    continue
-
-                def move(machine, regs, base, moves=moves):
-                    values = [get(regs) for _, get in moves]
-                    for (dst, _), value in zip(moves, values):
-                        regs[dst] = value
-            else:
-                def move(machine, regs, base, moves=moves, hooks=hooks):
-                    values = [get(regs) for _, get in moves]
-                    for (dst, _), value in zip(moves, values):
-                        regs[dst] = value
-                    rt = machine.runtime
-                    if rt is not None:
-                        for kind, (loop_id, phi_key), _ in hooks:
-                            if kind == "def":
-                                rt.lcd_def(loop_id, phi_key, machine.cost)
-                            else:
-                                rt.lcd_use(loop_id, phi_key, machine.cost)
-            compiled_block.phi_moves[pred_id] = move
-
-    # -- per-instruction compilation -----------------------------------------------
-
-    def _compile_op(self, instruction, getter, reg_index, position, plan,
-                    batch=False):
-        op = self._compile_op_core(
-            instruction, getter, reg_index, position, plan, batch
-        )
-        if plan is None:
-            return op
-        def_entries = plan.def_hooks.get(id(instruction), ())
-        use_entries = plan.use_hooks.get(id(instruction), ())
-        call_uses = plan.call_use_hooks.get(id(instruction), ())
-        if not def_entries and not use_entries and not call_uses:
-            return op
-        entries = [("def", e) for e in def_entries] + [("use", e) for e in use_entries]
-
-        def hooked(machine, regs, base, op=op, entries=entries,
-                   call_uses=call_uses, position=position):
-            rt = machine.runtime
-            if rt is not None and call_uses:
-                # Result-use hooks fire before the consumer executes.
-                ts = base + position
-                for site_id in call_uses:
-                    rt.call_result_use(site_id, ts)
-            if op is not None:
-                op(machine, regs, base)
-            if rt is not None:
-                ts = base + position
-                for kind, (loop_id, phi_key) in entries:
-                    if kind == "def":
-                        rt.lcd_def(loop_id, phi_key, ts)
-                    else:
-                        rt.lcd_use(loop_id, phi_key, ts)
-
-        return hooked
-
-    def _compile_op_core(self, instruction, getter, reg_index, position,
-                         plan=None, batch=False):
-        if isinstance(instruction, BinaryOp):
-            dst = reg_index[id(instruction)]
-            lhs = getter(instruction.lhs)
-            rhs = getter(instruction.rhs)
-            opcode = instruction.opcode
-            if opcode in _INT_OPS and instruction.type.is_integer:
-                fn = _INT_OPS[opcode]
-                if instruction.type.width != 32:
-                    width = instruction.type.width
-                    mask = (1 << width) - 1
-                    # i1/i64 arithmetic: plain Python semantics suffice.
-                    # Unsigned ops view the two's-complement bit pattern of
-                    # the operand (widths are powers of two, so ``& (w-1)``
-                    # masks shift amounts like the 32-bit table does).
-                    fn = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-                          "mul": lambda a, b: a * b, "and": lambda a, b: a & b,
-                          "or": lambda a, b: a | b, "xor": lambda a, b: a ^ b,
-                          "shl": lambda a, b: a << b, "ashr": lambda a, b: a >> b,
-                          "lshr": lambda a, b, mask=mask, width=width:
-                              (a & mask) >> (b & (width - 1)),
-                          }.get(opcode, fn)
-                else:
-                    op = _inline_arith32(opcode, dst, lhs, rhs)
-                    if op is not None:
-                        return op
-                return _fn_binop(dst, lhs, rhs, fn)
-            if opcode in ("sdiv", "srem", "udiv", "urem"):
-                # Division semantics (incl. the INT_MIN / -1 wrap and the
-                # zero-divisor trap) live in the module-level helpers so the
-                # JIT backend shares them verbatim.
-                fn = {"sdiv": signed_div, "srem": signed_rem,
-                      "udiv": unsigned_div, "urem": unsigned_rem}[opcode]
-                width = instruction.type.width
-
-                def op(machine, regs, base, dst=dst, lhs=lhs, rhs=rhs,
-                       fn=fn, width=width):
-                    regs[dst] = fn(lhs(regs), rhs(regs), width)
-                return op
-            if opcode in _FLOAT_OPS:
-                return _fn_binop(dst, lhs, rhs, _FLOAT_OPS[opcode])
-            if opcode == "fdiv":
-                def op(machine, regs, base, dst=dst, lhs=lhs, rhs=rhs):
-                    divisor = rhs(regs)
-                    if divisor == 0.0:
-                        raise TrapError("float division by zero")
-                    regs[dst] = lhs(regs) / divisor
-                return op
-            raise InterpError(f"unsupported binary opcode {opcode}")
-
-        if isinstance(instruction, ICmp):
-            dst = reg_index[id(instruction)]
-            lhs = getter(instruction.lhs)
-            rhs = getter(instruction.rhs)
-            return _fn_cmp(dst, lhs, rhs, _ICMP_OPS[instruction.predicate])
-
-        if isinstance(instruction, FCmp):
-            dst = reg_index[id(instruction)]
-            lhs = getter(instruction.lhs)
-            rhs = getter(instruction.rhs)
-            return _fn_cmp(dst, lhs, rhs, _FCMP_OPS[instruction.predicate])
-
-        if isinstance(instruction, Alloca):
-            dst = reg_index[id(instruction)]
-            size = instruction.allocated_type.size_in_slots()
-            zero = 0.0 if _alloc_zero_is_float(instruction.allocated_type) else 0
-            allocate = self.space.allocate
-            if self.runtime is None:
-                def op(machine, regs, base, dst=dst, size=size, zero=zero,
-                       allocate=allocate):
-                    regs[dst] = allocate(size, zero, None)
-                return op
-            current_marks = self.runtime.current_marks
-
-            def op(machine, regs, base, dst=dst, size=size, zero=zero,
-                   allocate=allocate, current_marks=current_marks):
-                regs[dst] = allocate(size, zero, current_marks())
-            return op
-
-        if isinstance(instruction, Load):
-            dst = reg_index[id(instruction)]
-            pointer = getter(instruction.pointer)
-            space_load = self.space.load
-            if self.runtime is None:
-                def op(machine, regs, base, dst=dst, pointer=pointer,
-                       space_load=space_load):
-                    regs[dst] = space_load(pointer(regs))
-                return op
-            if batch:
-                membuf = self._membuf
-                pslot = pointer.slot
-                if pslot is not None:
-                    def op(machine, regs, base, dst=dst, pslot=pslot,
-                           space_load=space_load, membuf=membuf,
-                           position=position):
-                        address = regs[pslot]
-                        regs[dst] = space_load(address)
-                        membuf.append((False, address, base + position))
-                    return op
-
-                def op(machine, regs, base, dst=dst, pointer=pointer,
-                       space_load=space_load, membuf=membuf, position=position):
-                    address = pointer(regs)
-                    regs[dst] = space_load(address)
-                    membuf.append((False, address, base + position))
-                return op
-            mem_read = self.runtime.mem_read
-
-            def op(machine, regs, base, dst=dst, pointer=pointer,
-                   space_load=space_load, mem_read=mem_read, position=position):
-                address = pointer(regs)
-                value = space_load(address)
-                mem_read(address, base + position)
-                regs[dst] = value
-            return op
-
-        if isinstance(instruction, Store):
-            pointer = getter(instruction.pointer)
-            value = getter(instruction.value)
-            space_store = self.space.store
-            if self.runtime is None:
-                def op(machine, regs, base, pointer=pointer, value=value,
-                       space_store=space_store):
-                    space_store(pointer(regs), value(regs))
-                return op
-            if batch:
-                membuf = self._membuf
-                pslot = pointer.slot
-                if pslot is not None:
-                    def op(machine, regs, base, pslot=pslot, value=value,
-                           space_store=space_store, membuf=membuf,
-                           position=position):
-                        address = regs[pslot]
-                        space_store(address, value(regs))
-                        membuf.append((True, address, base + position))
-                    return op
-
-                def op(machine, regs, base, pointer=pointer, value=value,
-                       space_store=space_store, membuf=membuf, position=position):
-                    address = pointer(regs)
-                    space_store(address, value(regs))
-                    membuf.append((True, address, base + position))
-                return op
-            mem_write = self.runtime.mem_write
-
-            def op(machine, regs, base, pointer=pointer, value=value,
-                   space_store=space_store, mem_write=mem_write,
-                   position=position):
-                address = pointer(regs)
-                space_store(address, value(regs))
-                mem_write(address, base + position)
-            return op
-
-        if isinstance(instruction, GEP):
-            dst = reg_index[id(instruction)]
-            pointer = getter(instruction.pointer)
-            scales = []
-            element = instruction.pointer.type.pointee
-            for index in instruction.indices:
-                if element.is_array:
-                    scales.append((element.element.size_in_slots(), getter(index)))
-                    element = element.element
-                else:
-                    scales.append((element.size_in_slots(), getter(index)))
-            if len(scales) == 1:
-                scale, index_get = scales[0]
-                pslot, islot = pointer.slot, index_get.slot
-                if islot is not None:
-                    if pslot is not None:
-                        def op(machine, regs, base, dst=dst, pslot=pslot,
-                               scale=scale, islot=islot):
-                            regs[dst] = regs[pslot] + scale * regs[islot]
-                        return op
-                    pconst = pointer.const
-
-                    def op(machine, regs, base, dst=dst, pconst=pconst,
-                           scale=scale, islot=islot):
-                        regs[dst] = pconst + scale * regs[islot]
-                    return op
-
-                def op(machine, regs, base, dst=dst, pointer=pointer,
-                       scale=scale, index_get=index_get):
-                    regs[dst] = pointer(regs) + scale * index_get(regs)
-                return op
-
-            def op(machine, regs, base, dst=dst, pointer=pointer, scales=scales):
-                address = pointer(regs)
-                for scale, index_get in scales:
-                    address += scale * index_get(regs)
-                regs[dst] = address
-            return op
-
-        if isinstance(instruction, Call):
-            callee = instruction.callee
-            arg_getters = [getter(a) for a in instruction.args]
-            dst = reg_index.get(id(instruction))
-            if callee.is_intrinsic:
-                info = callee.intrinsic
-                extra_cost = max(0, info.cost - 1)
-                impl = info.implementation
-
-                def op(machine, regs, base, dst=dst, impl=impl,
-                       arg_getters=arg_getters, extra_cost=extra_cost):
-                    machine.cost += extra_cost
-                    if machine.cost > machine.fuel:
-                        raise FuelExhausted(machine.fuel)
-                    result = impl(machine, [g(regs) for g in arg_getters])
-                    if dst is not None:
-                        regs[dst] = result
-                return op
-
-            site_id = plan.call_sites.get(id(instruction)) if plan else None
-            if site_id is None:
-                def op(machine, regs, base, dst=dst, callee=callee,
-                       arg_getters=arg_getters):
-                    result = machine._call(callee, [g(regs) for g in arg_getters])
-                    if dst is not None:
-                        regs[dst] = result
-                return op
-
-            def op(machine, regs, base, dst=dst, callee=callee,
-                   arg_getters=arg_getters, site_id=site_id):
-                rt = machine.runtime
-                if rt is not None:
-                    rt.call_start(site_id, machine.cost)
-                result = machine._call(callee, [g(regs) for g in arg_getters])
-                if rt is not None:
-                    rt.call_end(site_id, machine.cost)
-                if dst is not None:
-                    regs[dst] = result
-            return op
-
-        if isinstance(instruction, Select):
-            dst = reg_index[id(instruction)]
-            condition = getter(instruction.condition)
-            true_get = getter(instruction.true_value)
-            false_get = getter(instruction.false_value)
-
-            def op(machine, regs, base, dst=dst, condition=condition,
-                   true_get=true_get, false_get=false_get):
-                regs[dst] = true_get(regs) if condition(regs) else false_get(regs)
-            return op
-
-        if isinstance(instruction, Cast):
-            dst = reg_index[id(instruction)]
-            value = getter(instruction.value)
-            opcode = instruction.opcode
-            if opcode == "sitofp":
-                def op(machine, regs, base, dst=dst, value=value):
-                    regs[dst] = float(value(regs))
-                return op
-            if opcode == "fptosi":
-                def op(machine, regs, base, dst=dst, value=value):
-                    regs[dst] = _wrap32(int(value(regs)))
-                return op
-            if opcode == "zext":
-                def op(machine, regs, base, dst=dst, value=value):
-                    regs[dst] = value(regs)
-                return op
-            if opcode == "trunc":
-                width = instruction.type.width
-
-                def op(machine, regs, base, dst=dst, value=value, width=width):
-                    raw = value(regs) & ((1 << width) - 1)
-                    if width > 1 and raw >= (1 << (width - 1)):
-                        raw -= 1 << width
-                    regs[dst] = raw
-                return op
-
-        raise InterpError(f"cannot compile {instruction!r}")
-
-    @staticmethod
-    def _wrap_terminator_uses(terminator, use_entries, position):
-        """Fire LCD-use hooks when an instrumented phi feeds a terminator."""
-
-        def wrapped(machine, regs, base, terminator=terminator,
-                    use_entries=use_entries, position=position):
-            rt = machine.runtime
-            if rt is not None:
-                ts = base + position
-                for loop_id, phi_key in use_entries:
-                    rt.lcd_use(loop_id, phi_key, ts)
-            return terminator(machine, regs, base)
-
-        return wrapped
-
-    def _compile_terminator(self, instruction, getter, reg_index):
-        if isinstance(instruction, Br):
-            target_id = id(instruction.target)
-
-            def term(machine, regs, base, target_id=target_id):
-                return target_id
-            return term
-        if isinstance(instruction, CondBr):
-            condition = getter(instruction.condition)
-            then_id = id(instruction.then_block)
-            else_id = id(instruction.else_block)
-
-            def term(machine, regs, base, condition=condition,
-                     then_id=then_id, else_id=else_id):
-                return then_id if condition(regs) else else_id
-            return term
-        if isinstance(instruction, Ret):
-            if instruction.value is None:
-                def term(machine, regs, base):
-                    machine._return_value = None
-                    return _RETURN
-                return term
-            value = getter(instruction.value)
-
-            def term(machine, regs, base, value=value):
-                machine._return_value = value(regs)
-                return _RETURN
-            return term
-        raise InterpError(f"unknown terminator {instruction!r}")
+            self.runtime.mem_write(address, self.cost)
 
     # -- JIT backend ---------------------------------------------------------------
 
     def _jit_for(self, function):
         """The compiled JIT entry for ``function``, or ``None`` when the
-        template JIT cannot lower it (per-function closure fallback)."""
+        template JIT cannot lower it (per-function fallback to the
+        reference interpreter)."""
         name = function.name
         entry = self._jit_entries.get(name)
         if entry is not None:
@@ -1027,6 +453,8 @@ class Interpreter:
     # -- execution ------------------------------------------------------------------
 
     def _call(self, function, args):
+        """One call, on whichever backend runs ``function``: the depth
+        check, the frame, and the ``func_enter``/``func_exit`` events."""
         if function.is_intrinsic:
             return function.intrinsic.implementation(self, args)
         if function.is_declaration:
@@ -1035,88 +463,149 @@ class Interpreter:
         if self._call_depth > 2000:
             self._call_depth -= 1
             raise TrapError("call stack depth limit exceeded")
-        if self.backend != "closure":
-            entry = self._jit_for(function)
-            if entry is not None:
-                runtime = self.runtime
-                frame_base = self.space.frame_base()
-                if runtime is not None:
-                    runtime.func_enter(function)
-                try:
-                    return entry(self, args)
-                finally:
-                    self._call_depth -= 1
-                    self.space.release_to(frame_base)
-                    if runtime is not None:
-                        runtime.func_exit(function)
-        compiled = self._compiled_for(function)
-        regs = [None] * compiled.num_regs
-        for slot, value in zip(compiled.arg_regs, args):
-            regs[slot] = value
-
+        entry = self._jit_for(function) if self.backend != "closure" else None
         runtime = self.runtime
         frame_base = self.space.frame_base()
-        membuf = self._membuf
-        mem_batch = None
         if runtime is not None:
             runtime.func_enter(function)
-            mem_batch = runtime.mem_batch
-
-        blocks = compiled.blocks
-        edge_hooks = compiled.edge_hooks
-        latch_getters = compiled.latch_getters
-        check_edges = runtime is not None and bool(edge_hooks)
-        fuel = self.fuel
-        block_id = compiled.entry_id
-        pred_id = None
         try:
-            while True:
-                if check_edges and pred_id is not None:
-                    edge_key = (pred_id, block_id)
-                    actions = edge_hooks.get(edge_key)
-                    if actions is not None:
-                        ts = self.cost
-                        for kind, loop_id in actions:
-                            if kind == "iter":
-                                specs = latch_getters.get(edge_key, ())
-                                values = [
-                                    (phi_key, get(regs)) for phi_key, get in specs
-                                ]
-                                runtime.loop_iter(loop_id, ts, values)
-                            elif kind == "enter":
-                                runtime.loop_enter(loop_id, ts)
-                            else:
-                                runtime.loop_exit(loop_id, ts)
-                block = blocks[block_id]
-                move = block.phi_moves.get(pred_id)
-                if move is not None:
-                    move(self, regs, self.cost)
-                base = self.cost
-                self.cost = base + block.cost
-                if self.cost > fuel:
-                    raise FuelExhausted(fuel)
-                run = block.run
-                if run is not None:
-                    run(self, regs, base)
-                    # Deliver the block's batched memory events before the
-                    # terminator fires any edge actions for the next block.
-                    if membuf:
-                        mem_batch(membuf)
-                        del membuf[:]
-                next_id = block.terminator(self, regs, base)
-                if next_id is _RETURN:
-                    return self._return_value
-                pred_id = block_id
-                block_id = next_id
+            if entry is not None:
+                return entry(self, args)
+            return self._interpret(function, args)
         finally:
             self._call_depth -= 1
             self.space.release_to(frame_base)
             if runtime is not None:
                 runtime.func_exit(function)
 
-    @property
-    def fuel_left(self):
-        return self.fuel - self.cost
+    def _compile_function(self, function):
+        """Decode ``function`` for the reference interpreter: each block
+        becomes ``(phis, body, terminator)``, with ``body`` holding
+        ``(position, instruction, semantics)`` for the instructions
+        between them. A malformed block or an unknown instruction class
+        raises :class:`InterpError` here, before the function runs. (The
+        name is what perfbench/tracing.py times as code generation.)"""
+        decoded = {}
+        for block in function.blocks:
+            instructions = block.instructions
+            if not instructions or not instructions[-1].is_terminator:
+                raise InterpError(
+                    f"block {block.name} in @{function.name} lacks a terminator"
+                )
+            phis = []
+            body = []
+            for position, instruction in enumerate(instructions[:-1]):
+                if isinstance(instruction, Phi):
+                    phis.append(instruction)
+                    continue
+                semantics = _EXECUTE.get(type(instruction))
+                if semantics is None:
+                    raise InterpError(
+                        f"cannot interpret {instruction!r} in block "
+                        f"{block.name} of @{function.name}"
+                    )
+                body.append((position, instruction, semantics))
+            decoded[id(block)] = (phis, body, instructions[-1])
+        return decoded
+
+    def _interpret(self, function, args):
+        """Run one frame of ``function`` on the reference interpreter.
+
+        The event order is the contract the JIT tiers mirror (see
+        docs/internals.md, "Reference interpreter"): on entering a block,
+        the edge's loop events, the parallel phi copy, then each phi's
+        def and use hooks; then the block's whole cost is charged; then,
+        per instruction at ``ts = base + position``, call-result uses,
+        the instruction, its def hooks and its use hooks.
+        """
+        decoded = self._decoded.get(function.name)
+        if decoded is None:
+            decoded = self._decoded[function.name] = \
+                self._compile_function(function)
+        runtime = self.runtime
+        plan = self.instrumentation.get(function.name) \
+            if runtime is not None else None
+        values = {
+            id(argument): value
+            for argument, value in zip(function.arguments, args)
+        }
+        pred = None
+        block = function.entry_block
+        while True:
+            phis, body, terminator = decoded[id(block)]
+            if pred is not None:
+                if plan is not None:
+                    self._edge_events(plan, pred, block, values)
+                incoming = [
+                    _operand(self, values, phi.incoming_for_block(pred))
+                    for phi in phis
+                ]
+                for phi, value in zip(phis, incoming):
+                    values[id(phi)] = value
+                if plan is not None:
+                    for phi in phis:
+                        key = id(phi)
+                        for loop_id, phi_key in plan.def_hooks.get(key, ()):
+                            runtime.lcd_def(loop_id, phi_key, self.cost)
+                        for loop_id, phi_key in plan.use_hooks.get(key, ()):
+                            runtime.lcd_use(loop_id, phi_key, self.cost)
+            base = self.cost
+            self.cost = base + len(block.instructions)
+            if self.cost > self.fuel:
+                raise FuelExhausted(self.fuel)
+            for position, instruction, semantics in body:
+                ts = base + position
+                if plan is None:
+                    values[id(instruction)] = semantics(
+                        self, instruction, values, ts)
+                    continue
+                key = id(instruction)
+                for site_id in plan.call_use_hooks.get(key, ()):
+                    runtime.call_result_use(site_id, ts)
+                site_id = plan.call_sites.get(key)
+                if site_id is not None:
+                    runtime.call_start(site_id, self.cost)
+                values[key] = semantics(self, instruction, values, ts)
+                if site_id is not None:
+                    runtime.call_end(site_id, self.cost)
+                for loop_id, phi_key in plan.def_hooks.get(key, ()):
+                    runtime.lcd_def(loop_id, phi_key, ts)
+                for loop_id, phi_key in plan.use_hooks.get(key, ()):
+                    runtime.lcd_use(loop_id, phi_key, ts)
+            # Call-result-use hooks on a phi or a terminator never fire, on
+            # any backend: a known gap in the call-continuation model.
+            if plan is not None:
+                ts = base + len(block.instructions) - 1
+                for loop_id, phi_key in plan.use_hooks.get(id(terminator), ()):
+                    runtime.lcd_use(loop_id, phi_key, ts)
+            if isinstance(terminator, Ret):
+                if terminator.value is None:
+                    return None
+                return _operand(self, values, terminator.value)
+            pred = block
+            if isinstance(terminator, Br):
+                block = terminator.target
+            elif _operand(self, values, terminator.condition):
+                block = terminator.then_block
+            else:
+                block = terminator.else_block
+
+    def _edge_events(self, plan, pred, succ, values):
+        """The pred -> succ edge's loop events, in plan order; ``loop_iter``
+        ships the latch values as they stand before the phi copy."""
+        edge = (id(pred), id(succ))
+        runtime = self.runtime
+        for kind, loop_id in plan.edge_actions.get(edge, ()):
+            if kind == "iter":
+                latch = [
+                    (phi_key, _operand(self, values, value))
+                    for phi_key, value in plan.latch_values.get(edge, ())
+                ]
+                runtime.loop_iter(loop_id, self.cost, latch)
+            elif kind == "enter":
+                runtime.loop_enter(loop_id, self.cost)
+            else:
+                runtime.loop_exit(loop_id, self.cost)
 
 
 def _alloc_zero_is_float(type_):
@@ -1126,7 +615,7 @@ def _alloc_zero_is_float(type_):
 
 
 def run_module(module, function_name="main", args=(), runtime=None,
-               instrumentation=None, fuel=200_000_000, backend=None):
+               instrumentation=None, fuel=200_000_000, backend="vec"):
     """Convenience: build an interpreter, run, and return
     ``(result, interpreter)``."""
     interpreter = Interpreter(module, runtime, instrumentation, fuel,

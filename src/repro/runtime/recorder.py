@@ -231,7 +231,7 @@ class ProfilingRuntime:
         stack = self.stack
         if not stack:
             return
-        marks = self.machine.marks_for(address)
+        marks = self.machine.space.marks_for(address)
         for entry in stack:
             invocation = entry.invocation
             if marks is not None and marks.get(id(invocation)) == invocation.current_iter:
@@ -248,7 +248,7 @@ class ProfilingRuntime:
         stack = self.stack
         if not stack:
             return
-        marks = self.machine.marks_for(address)
+        marks = self.machine.space.marks_for(address)
         for entry in stack:
             invocation = entry.invocation
             if marks is not None and marks.get(id(invocation)) == invocation.current_iter:
@@ -259,7 +259,7 @@ class ProfilingRuntime:
         """Deliver a block's batched ``(is_write, address, ts)`` events in
         program order; semantics match per-event mem_read/mem_write exactly.
 
-        The interpreter only batches call-free blocks, so the loop stack,
+        The JIT tiers only batch call-free blocks, so the loop stack,
         frame depth, and call records are constant across the batch and can
         be hoisted out of the loop.
         """
@@ -269,8 +269,6 @@ class ProfilingRuntime:
         if not stack and not pending and not active_calls:
             return
         if stack:
-            # One Python frame per event instead of two: the interpreter's
-            # marks_for only delegates to the memory space.
             marks_for = self.machine.space.marks_for
             # Per-entry tracking state is loop-invariant across the batch
             # (batched blocks carry no loop or call events), so hoist the
@@ -337,9 +335,9 @@ class ProfilingRuntime:
         LCD and memory events touch disjoint tracking state (``last_def_ts``
         / ``first_use_off`` vs ``last_write`` / conflicts) and carry explicit
         timestamps, so replaying them as two ordered lists is equivalent to
-        the closure backend's interleaved per-event delivery. Loop and call
-        events never occur inside a batched block, so the stacks are stable
-        across the batch.
+        the reference interpreter's interleaved per-event delivery. Loop
+        and call events never occur inside a batched block, so the stacks
+        are stable across the batch.
         """
         if lcd_events:
             by_loop = self.by_loop

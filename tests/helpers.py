@@ -54,10 +54,47 @@ def minic_programs(profiles=("affine", "calls", "transforms", "mixed"),
     )
 
 
-def run_minic(source, fuel=20_000_000):
-    """Compile and execute a MiniC program; returns (result, cost, output)."""
+#: Every execution backend, reference interpreter first.
+BACKENDS = ("closure", "jit", "vec")
+
+
+def run_minic(source, fuel=20_000_000, backend="vec"):
+    """Compile and execute a MiniC program on ``backend``; returns
+    (result, cost, output)."""
     from repro.interp.interpreter import run_module
 
     module = compile_source(source)
-    result, machine = run_module(module, fuel=fuel)
+    result, machine = run_module(module, fuel=fuel, backend=backend)
     return result, machine.cost, machine.output
+
+
+def on_all_backends(run):
+    """Call ``run(backend)`` for every backend and require that they agree:
+    all return equal values, or all raise the same error type with the
+    same message. Returns the shared value or re-raises the shared error,
+    so a test written for one backend checks all of them."""
+    from repro.errors import ReproError
+
+    outcomes = {}
+    error = None
+    for backend in BACKENDS:
+        try:
+            outcomes[backend] = ("returned", run(backend))
+        except ReproError as raised:
+            error = raised
+            outcomes[backend] = ("raised", type(raised), str(raised))
+    reference = outcomes[BACKENDS[0]]
+    for backend in BACKENDS[1:]:
+        assert outcomes[backend] == reference, (
+            f"{backend} disagrees with {BACKENDS[0]}: "
+            f"{outcomes[backend]!r} vs {reference!r}")
+    if reference[0] == "raised":
+        raise error
+    return reference[1]
+
+
+def run_minic_all(source, fuel=20_000_000):
+    """:func:`run_minic` on every backend; they must agree on the result,
+    the cost and the output (or on the error raised)."""
+    return on_all_backends(
+        lambda backend: run_minic(source, fuel, backend))

@@ -1,21 +1,22 @@
-"""Behavioural tests: compile MiniC and execute, checking C semantics."""
+"""Behavioural tests: compile MiniC and execute, checking C semantics on
+every backend (the backends must also agree with each other)."""
 
 import pytest
 
 from repro.errors import FuelExhausted, TrapError
 
-from helpers import run_minic
+from helpers import run_minic_all
 
 
 class TestArithmetic:
     def test_integer_ops(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { return (17 + 5) * 3 - 100 / 7 + 100 % 7; }"
         )
         assert result == (17 + 5) * 3 - 100 // 7 + 100 % 7
 
     def test_c_division_truncates_toward_zero(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int a = -7;
             int b = 2;
@@ -25,41 +26,43 @@ class TestArithmetic:
         assert result == -3 * 100 + 1
 
     def test_bitwise(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { return ((0xF0F & 255) | 256) ^ 3; }".replace("0xF0F", "3855")
         )
         assert result == ((3855 & 255) | 256) ^ 3
 
     def test_shifts(self):
-        result, _, _ = run_minic("int main() { return (1 << 10) + (1024 >> 3); }")
+        result, _, _ = run_minic_all(
+            "int main() { return (1 << 10) + (1024 >> 3); }")
         assert result == 1024 + 128
 
     def test_int32_wraparound(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { int x = 2147483647; return x + 1; }"
         )
         assert result == -(2**31)
 
     def test_float_arithmetic(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { float x = 1.5 * 4.0 - 1.0; return (int)(x * 10.0); }"
         )
         assert result == 50
 
     def test_mixed_promotion(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { float x = 3; return (int)((x + 1) / 2); }"
         )
         assert result == 2
 
     def test_unary_minus_and_not(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { return -5 + !0 * 10 + !7; }"
         )
         assert result == -5 + 10 + 0
 
     def test_comparison_yields_int(self):
-        result, _, _ = run_minic("int main() { return (3 < 5) + (5 < 3); }")
+        result, _, _ = run_minic_all(
+            "int main() { return (3 < 5) + (5 < 3); }")
         assert result == 1
 
 
@@ -74,11 +77,11 @@ class TestControlFlow:
         }
         int main() { return grade(95)*1000 + grade(85)*100 + grade(75)*10 + grade(5); }
         """
-        result, _, _ = run_minic(source)
+        result, _, _ = run_minic_all(source)
         assert result == 4320
 
     def test_while_and_break(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int main() {
               int i = 0; int s = 0;
@@ -94,7 +97,7 @@ class TestControlFlow:
         assert result == 45
 
     def test_continue(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int main() {
               int i; int s = 0;
@@ -109,7 +112,7 @@ class TestControlFlow:
         assert result == 25
 
     def test_nested_break_only_inner(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int main() {
               int i; int j; int s = 0;
@@ -126,7 +129,7 @@ class TestControlFlow:
         assert result == 6
 
     def test_short_circuit_and_skips_rhs(self):
-        result, _, output = run_minic(
+        result, _, output = run_minic_all(
             """
             int side(int v) { print_int(v); return v; }
             int main() {
@@ -140,7 +143,7 @@ class TestControlFlow:
         assert result == 3
 
     def test_short_circuit_or_skips_rhs(self):
-        result, _, output = run_minic(
+        result, _, output = run_minic_all(
             """
             int side(int v) { print_int(v); return v; }
             int main() {
@@ -154,7 +157,7 @@ class TestControlFlow:
         assert result == 5
 
     def test_early_return_mid_loop(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int main() {
               int i;
@@ -170,7 +173,7 @@ class TestControlFlow:
 
 class TestFunctionsAndMemory:
     def test_recursion(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int ack(int m, int n) {
               if (m == 0) { return n + 1; }
@@ -183,7 +186,7 @@ class TestFunctionsAndMemory:
         assert result == 9
 
     def test_mutual_recursion(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int is_odd(int n) { if (n == 0) { return 0; } return is_even(n - 1); }
             int is_even(int n) { if (n == 0) { return 1; } return is_odd(n - 1); }
@@ -193,7 +196,7 @@ class TestFunctionsAndMemory:
         assert result == 11
 
     def test_global_arrays(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int A[5] = {10, 20, 30};
             int main() { A[3] = A[0] + A[1]; return A[3] + A[4]; }
@@ -202,7 +205,7 @@ class TestFunctionsAndMemory:
         assert result == 30
 
     def test_local_arrays(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int main() {
               int buf[4];
@@ -215,7 +218,7 @@ class TestFunctionsAndMemory:
         assert result == 14
 
     def test_pointer_params_write_caller_memory(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int A[4];
             void fill(int* p, int n, int v) {
@@ -228,7 +231,7 @@ class TestFunctionsAndMemory:
         assert result == 100 + 103
 
     def test_address_of_scalar(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             void bump(int* p) { p[0] = p[0] + 5; }
             int main() { int x = 10; bump(&x); return x; }
@@ -237,7 +240,7 @@ class TestFunctionsAndMemory:
         assert result == 15
 
     def test_address_of_array_element(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int A[8];
             void setit(int* p) { p[0] = 7; }
@@ -247,7 +250,7 @@ class TestFunctionsAndMemory:
         assert result == 7
 
     def test_void_function(self):
-        result, _, output = run_minic(
+        result, _, output = run_minic_all(
             """
             int G = 0;
             void twice(int v) { G = v * 2; }
@@ -258,7 +261,7 @@ class TestFunctionsAndMemory:
 
     def test_loop_local_array_fresh_each_iteration(self):
         # Allocas in the loop body give privatized storage per iteration.
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int main() {
               int i;
@@ -278,11 +281,11 @@ class TestFunctionsAndMemory:
 class TestTraps:
     def test_division_by_zero_traps(self):
         with pytest.raises(TrapError):
-            run_minic("int z = 0; int main() { return 5 / z; }")
+            run_minic_all("int z = 0; int main() { return 5 / z; }")
 
     def test_out_of_bounds_traps(self):
         with pytest.raises(TrapError):
-            run_minic(
+            run_minic_all(
                 """
                 int A[4];
                 int main() { return A[100000]; }
@@ -291,14 +294,16 @@ class TestTraps:
 
     def test_fuel_exhaustion(self):
         with pytest.raises(FuelExhausted):
-            run_minic(
+            run_minic_all(
                 "int main() { int i = 0; while (1) { i = i + 1; } return i; }",
                 fuel=10_000,
             )
 
     def test_runaway_recursion_trapped(self):
         with pytest.raises(TrapError, match="depth"):
-            run_minic("int f(int n) { return f(n + 1); } int main() { return f(0); }")
+            run_minic_all(
+                "int f(int n) { return f(n + 1); } "
+                "int main() { return f(0); }")
 
 
 class TestDeterminism:
@@ -312,6 +317,6 @@ class TestDeterminism:
           return s & 32767;
         }
         """
-        first = run_minic(source)
-        second = run_minic(source)
+        first = run_minic_all(source)
+        second = run_minic_all(source)
         assert first == second

@@ -1,6 +1,6 @@
-"""Differential test: the closure interpreter, the block-template JIT,
-and the vector tier must produce byte-identical profiles for every
-bundled benchmark.
+"""Differential test: the reference interpreter (``closure``), the
+block-template JIT, and the vector tier must produce byte-identical
+profiles for every bundled benchmark.
 
 This is the backend equivalence contract in its strongest form — not just
 matching results and instruction counts, but the full serialized
@@ -39,20 +39,19 @@ def test_backends_profile_identically(program):
     assert jit_output == vec_output
 
 
-@pytest.mark.parametrize(
-    "backend", ["closure", "jit", "vec"]
-)
-def test_static_doall_never_conflicts(backend):
-    """Soundness of the static dependence engine against every backend: a
-    loop proved STATIC_DOALL must never record a cross-iteration conflict
-    in the dynamic profile, whichever interpreter produced it. This is
-    also the vector tier's safety argument — its kernels only ever replace
-    loops carrying that verdict."""
+def test_static_doall_never_conflicts():
+    """Soundness of the static dependence engine: a loop proved
+    STATIC_DOALL must never record a cross-iteration conflict in the
+    dynamic profile. One backend suffices, because
+    test_backends_profile_identically shows every backend records the
+    same profile for these programs. This is also the vector tier's
+    safety argument — its kernels only ever replace loops carrying that
+    verdict."""
     from repro.analysis.depend import VERDICT_DOALL
 
     proved_loops = 0
     for program in all_programs():
-        lp = Loopapalooza(program.source, name=program.name, backend=backend)
+        lp = Loopapalooza(program.source, name=program.name)
         dependence = lp.static_info.dependence()
         conflicts = {}
         for invocation in lp.profile().all_invocations():
@@ -65,6 +64,6 @@ def test_static_doall_never_conflicts(backend):
             proved_loops += 1
             assert conflicts.get(loop_id, 0) == 0, (
                 f"{program.full_name} {loop_id}: STATIC_DOALL but "
-                f"{conflicts[loop_id]} dynamic conflict(s) on {backend}")
+                f"{conflicts[loop_id]} dynamic conflict(s)")
     # The suites must actually exercise the engine, not vacuously pass.
     assert proved_loops >= 100

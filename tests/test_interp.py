@@ -8,7 +8,7 @@ from repro.frontend import compile_source
 from repro.interp import INTRINSICS, AddressSpace, Interpreter, run_module
 from repro.interp.intrinsics import _hash32
 
-from helpers import run_minic
+from helpers import BACKENDS, on_all_backends, run_minic_all
 
 
 class TestAddressSpace:
@@ -70,9 +70,10 @@ class TestCostModel:
     def test_cost_equals_dynamic_instruction_count(self):
         # A hand-countable straight-line program.
         module = compile_source("int main() { return 1; }")
-        result, machine = run_module(module)
+        cost = on_all_backends(
+            lambda backend: run_module(module, backend=backend)[1].cost)
         # entry: ret -> exactly 1 instruction.
-        assert machine.cost == 1
+        assert cost == 1
 
     def test_loop_cost_scales_with_trip_count(self):
         def cost_for(n):
@@ -86,8 +87,8 @@ class TestCostModel:
                 }}
                 """
             )
-            _, machine = run_module(module)
-            return machine.cost
+            return on_all_backends(
+                lambda backend: run_module(module, backend=backend)[1].cost)
 
         c100, c200 = cost_for(100), cost_for(200)
         per_iter = (c200 - c100) / 100
@@ -105,17 +106,18 @@ class TestCostModel:
           return s & 32767;
         }
         """
-        lp = Loopapalooza(source, "neutrality")
-        profile = lp.profile()
-        plain_result, plain_cost, plain_output = lp.run_uninstrumented()
-        assert profile.result == plain_result
-        assert profile.total_cost == plain_cost
-        assert lp.output == plain_output
+        for backend in BACKENDS:
+            lp = Loopapalooza(source, "neutrality", backend=backend)
+            profile = lp.profile()
+            plain_result, plain_cost, plain_output = lp.run_uninstrumented()
+            assert profile.result == plain_result, backend
+            assert profile.total_cost == plain_cost, backend
+            assert lp.output == plain_output, backend
 
 
 class TestIntrinsics:
     def test_math_intrinsics(self):
-        result, _, output = run_minic(
+        result, _, output = run_minic_all(
             """
             int main() {
               print_float(sqrt(16.0));
@@ -130,7 +132,7 @@ class TestIntrinsics:
         assert output == [4.0, 2.5, 1024.0, 3.0, 3.0]
 
     def test_trig_and_log(self):
-        _, _, output = run_minic(
+        _, _, output = run_minic_all(
             """
             int main() {
               print_float(sin(0.0) + cos(0.0));
@@ -143,7 +145,7 @@ class TestIntrinsics:
         assert output == [1.0, 1.0, 0.0]
 
     def test_int_helpers(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             "int main() { return iabs(-5) * 100 + imin(3, 7) * 10 + imax(3, 7); }"
         )
         assert result == 537
@@ -151,12 +153,13 @@ class TestIntrinsics:
     def test_hash_is_deterministic_and_spread(self):
         values = {_hash32(i) & 0xFF for i in range(100)}
         assert len(values) > 60  # decent dispersion
-        result1, _, _ = run_minic("int main() { return hash_i32(1234) & 65535; }")
-        result2, _, _ = run_minic("int main() { return hash_i32(1234) & 65535; }")
+        source = "int main() { return hash_i32(1234) & 65535; }"
+        result1, _, _ = run_minic_all(source)
+        result2, _, _ = run_minic_all(source)
         assert result1 == result2
 
     def test_noise_in_unit_interval(self):
-        _, _, output = run_minic(
+        _, _, output = run_minic_all(
             """
             int main() {
               int i;
@@ -177,11 +180,11 @@ class TestIntrinsics:
           return a == b;
         }
         """
-        result, _, _ = run_minic(source)
+        result, _, _ = run_minic_all(source)
         assert result == 1
 
     def test_memset_memcpy(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             int A[8]; int B[8];
             int main() {
@@ -194,7 +197,7 @@ class TestIntrinsics:
         assert result == 10
 
     def test_memset_f64(self):
-        result, _, _ = run_minic(
+        result, _, _ = run_minic_all(
             """
             float X[4]; float Y[4];
             int main() {
@@ -210,7 +213,8 @@ class TestIntrinsics:
         from repro.errors import TrapError
 
         with pytest.raises(TrapError):
-            run_minic("float x = -1.0; int main() { print_float(sqrt(x)); return 0; }")
+            run_minic_all("float x = -1.0; "
+                          "int main() { print_float(sqrt(x)); return 0; }")
 
     def test_registry_attributes(self):
         assert INTRINSICS["sqrt"].is_pure
@@ -225,22 +229,25 @@ class TestIntrinsics:
         """memcpy through an intrinsic must feed conflict tracking."""
         from repro.core import Loopapalooza
 
-        lp = Loopapalooza(
-            """
-            int A[32]; int B[32];
-            int main() {
-              int i;
-              for (i = 1; i < 16; i = i + 1) {
-                memcpy_i32(&A[i], &A[i-1], 1);   // cross-iteration RAW
-              }
-              return A[15];
-            }
-            """,
-            "memchain",
-        )
-        profile = lp.profile()
-        hot = [inv for inv in profile.all_invocations() if inv.num_iterations > 4][0]
-        assert hot.conflict_count > 0
+        def conflicts(backend):
+            lp = Loopapalooza(
+                """
+                int A[32]; int B[32];
+                int main() {
+                  int i;
+                  for (i = 1; i < 16; i = i + 1) {
+                    memcpy_i32(&A[i], &A[i-1], 1);   // cross-iteration RAW
+                  }
+                  return A[15];
+                }
+                """,
+                "memchain", backend=backend,
+            )
+            return [inv.conflict_count
+                    for inv in lp.profile().all_invocations()
+                    if inv.num_iterations > 4]
+
+        assert on_all_backends(conflicts)[0] > 0
 
 
 class TestUnsignedIntOps:
@@ -256,7 +263,9 @@ class TestUnsignedIntOps:
         builder = IRBuilder(function.append_block("entry"))
         lhs, rhs = function.arguments
         builder.ret(builder.binop(opcode, lhs, rhs, "r"))
-        return Interpreter(module).run("f", (a, b))
+        return on_all_backends(
+            lambda backend: Interpreter(module, backend=backend).run(
+                "f", (a, b)))
 
     def test_lshr_positive_matches_ashr(self):
         assert self._run("lshr", 20, 2) == 5
@@ -382,7 +391,7 @@ class TestSignedDivOverflow:
     INT_MIN = -(1 << 31)
 
     @staticmethod
-    def _run(opcode, a, b, backend=None):
+    def _run(opcode, a, b):
         from repro.ir import I32, IRBuilder, Module
 
         module = Module("signed_ops")
@@ -390,7 +399,9 @@ class TestSignedDivOverflow:
         builder = IRBuilder(function.append_block("entry"))
         lhs, rhs = function.arguments
         builder.ret(builder.binop(opcode, lhs, rhs, "r"))
-        return Interpreter(module, backend=backend).run("f", (a, b))
+        return on_all_backends(
+            lambda backend: Interpreter(module, backend=backend).run(
+                "f", (a, b)))
 
     def test_sdiv_int_min_by_minus_one_wraps(self):
         assert self._run("sdiv", self.INT_MIN, -1) == self.INT_MIN
@@ -403,11 +414,6 @@ class TestSignedDivOverflow:
         assert self._run("sdiv", 7, -2) == -3
         assert self._run("srem", -7, 2) == -1
         assert self._run("srem", 7, -2) == 1
-
-    def test_both_backends_agree_on_the_corner(self):
-        for backend in ("closure", "jit"):
-            assert self._run("sdiv", self.INT_MIN, -1, backend) == self.INT_MIN
-            assert self._run("srem", self.INT_MIN, -1, backend) == 0
 
     def test_zero_divisor_traps(self):
         from repro.errors import TrapError
@@ -439,3 +445,39 @@ class TestSignedDivOverflow:
             folded = block.terminator.value
             assert isinstance(folded, ConstantInt)
             assert folded.value == expected, opcode
+
+
+class TestMalformedFunctions:
+    """A block that is empty or lacks a terminator is rejected before the
+    function runs, naming the block, on every backend: the JIT tiers
+    cannot lower it and fall back to the reference interpreter, whose
+    decode step raises."""
+
+    @staticmethod
+    def _module(fill_broken_block):
+        from repro.ir import I32, IRBuilder, Module
+
+        module = Module("malformed")
+        function = module.add_function("f", I32, [])
+        entry = function.append_block("entry")
+        broken = function.append_block("broken")
+        builder = IRBuilder(entry)
+        builder.ret(builder.const_int(0))
+        builder.position_at_end(broken)
+        fill_broken_block(builder)
+        return module
+
+    @pytest.mark.parametrize("fill", [
+        lambda builder: None,
+        lambda builder: builder.add(
+            builder.const_int(1), builder.const_int(2), "x"),
+    ], ids=["empty", "unterminated"])
+    def test_rejected_before_running(self, fill):
+        from repro.errors import InterpError
+
+        module = self._module(fill)
+        # The entry block returns at once: only a check that runs before
+        # execution can see the unreachable broken block.
+        with pytest.raises(InterpError, match="block broken in @f"):
+            on_all_backends(
+                lambda backend: Interpreter(module, backend=backend).run("f"))

@@ -11,7 +11,7 @@ import pytest
 from repro.core.framework import Loopapalooza
 from repro.errors import FuelExhausted, InterpError
 from repro.frontend.codegen import compile_source
-from repro.interp.interpreter import Interpreter, backend_from_env
+from repro.interp.interpreter import Interpreter
 
 TIGHT_LOOP = """
 int main() {
@@ -65,36 +65,12 @@ def _run(source, backend, fuel=200_000_000):
 
 class TestBackendSelection:
     def test_default_is_vec(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.delenv("REPRO_NO_VEC", raising=False)
-        assert backend_from_env() == "vec"
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
-    def test_no_jit_env_selects_closure(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_NO_JIT", value)
-        assert backend_from_env() == "closure"
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
-    def test_no_vec_env_selects_scalar_jit(self, monkeypatch, value):
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.setenv("REPRO_NO_VEC", value)
-        assert backend_from_env() == "jit"
-
-    def test_no_jit_outranks_no_vec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        monkeypatch.setenv("REPRO_NO_VEC", "1")
-        assert backend_from_env() == "closure"
-
-    def test_falsy_env_values_keep_vec(self, monkeypatch):
-        for value in ("", "0", "false"):
-            monkeypatch.setenv("REPRO_NO_JIT", value)
-            monkeypatch.setenv("REPRO_NO_VEC", value)
-            assert backend_from_env() == "vec"
-
-    def test_explicit_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        machine = Interpreter(compile_source(TIGHT_LOOP), backend="jit")
-        assert machine.backend == "jit"
+        # The backend is an argument only: the variables that used to
+        # select it, REPRO_NO_<TIER>, change nothing.
+        for tier in ("JIT", "VEC"):
+            monkeypatch.setenv(f"REPRO_NO_{tier}", "1")
+        assert Interpreter(compile_source(TIGHT_LOOP)).backend == "vec"
+        assert Loopapalooza(TIGHT_LOOP).backend == "vec"
 
     def test_unknown_backend_rejected(self):
         for backend in ("bytecode", "par"):
