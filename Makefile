@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench sweep-smoke sweep-fault-smoke figures examples clean
+.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -35,23 +35,7 @@ fuzz-report:
 	python tools/fuzz_report.py
 
 bench:
-	pytest benchmarks/ --benchmark-only \
-		--benchmark-json=BENCH_infrastructure.json
-
-sweep-smoke:
-	python -c "\
-	from repro.bench.suites import SuiteRunner, suite_programs; \
-	runner = SuiteRunner(); \
-	grid = runner.evaluate_many( \
-	    suite_programs('eembc')[:2], \
-	    ('doall:reduc1-dep0-fn0', 'helix:reduc1-dep3-fn3'), \
-	    jobs=2); \
-	[print(f'{name:40s} {cfg:24s} {r.speedup:8.3f}x') \
-	 for name, row in grid.items() for cfg, r in row.items()]; \
-	print(runner.store.stats.describe())"
-
-sweep-fault-smoke:
-	python tools/sweep_fault_smoke.py
+	pytest benchmarks/ --benchmark-only
 
 figures:
 	python examples/full_paper_run.py

@@ -1,28 +1,25 @@
 #!/usr/bin/env python
 """Full paper run: regenerate every table and figure and (optionally)
-rewrite EXPERIMENTS.md with the measured numbers.
+rewrite EXPERIMENTS_MEASURED.md with the measured numbers.
 
 Run:  python examples/full_paper_run.py [options]
 
 Options:
   --write-experiments-md   rewrite EXPERIMENTS_MEASURED.md
-  --jobs N                 fan the sweep out over N worker processes
   --cache-dir DIR          profile-store location (default: shared user
                            cache; set REPRO_NO_PROFILE_CACHE=1 to disable)
   --resume RUN_ID          resume an interrupted run from its ledger;
                            completed (benchmark, config) cells are restored
                            and skipped (see `python -m repro runs`)
-  --task-timeout SECONDS   per-task result timeout in the pool sweep
-  --retries N              retries (exponential backoff) before a failing
-                           task is quarantined to the serial path
   --runs-dir DIR           run-ledger location (default:
                            ~/.cache/repro/runs or REPRO_RUNS_DIR)
 
 A cold run profiles the 48 synthetic benchmarks and sweeps the
-14-configuration grid (~30 s). Warm runs reuse the persistent profile
-store and re-profile nothing. Every run checkpoints each completed task
-to a JSONL run ledger, so a killed run continues with --resume RUN_ID
-and produces byte-identical output.
+14-configuration grid in this one process (~25 s on two cores). Warm
+runs reuse the persistent profile store and re-profile nothing (~15 s).
+Every run checkpoints each completed benchmark to a JSONL run ledger, so
+a killed run continues with --resume RUN_ID and produces byte-identical
+output.
 """
 
 import argparse
@@ -63,23 +60,16 @@ are; see DESIGN.md and EXPERIMENTS.md):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--write-experiments-md", action="store_true")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep")
     parser.add_argument("--cache-dir", default=None,
                         help="profile-store directory")
     parser.add_argument("--resume", default=None, metavar="RUN_ID",
                         help="resume an interrupted run from its ledger")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS", help="per-task result timeout")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="retries before quarantining a task")
     parser.add_argument("--runs-dir", default=None,
                         help="run-ledger directory")
     args = parser.parse_args(argv)
 
     start = time.time()
     runner = SuiteRunner(cache_dir=args.cache_dir)
-    jobs = args.jobs
     if args.resume:
         telemetry = RunTelemetry.resume(args.resume, root=args.runs_dir)
         print(f"resuming run {telemetry.run_id} "
@@ -88,31 +78,27 @@ def main(argv):
         telemetry = RunTelemetry.create(root=args.runs_dir)
         print(f"run id: {telemetry.run_id} "
               f"(resume an interrupted run with --resume {telemetry.run_id})")
-    sweep = {
-        "telemetry": telemetry,
-        "task_timeout": args.task_timeout,
-        "retries": args.retries,
-    }
+    sweep = {"telemetry": telemetry}
 
     sections = []
     try:
         print("evaluating the 14-configuration sweep (Fig. 2)...", flush=True)
         sections.append(("Figure 2", format_speedup_figure(
-            figure2_nonnumeric(runner, jobs=jobs, sweep=sweep),
+            figure2_nonnumeric(runner, sweep=sweep),
             "Fig. 2 (reproduced) — non-numeric GEOMEAN speedups")))
         print("Fig. 3...", flush=True)
         sections.append(("Figure 3", format_speedup_figure(
-            figure3_numeric(runner, jobs=jobs, sweep=sweep),
+            figure3_numeric(runner, sweep=sweep),
             "Fig. 3 (reproduced) — numeric GEOMEAN speedups")))
         print("Fig. 4...", flush=True)
         sections.append(("Figure 4", format_figure4(
-            figure4_per_benchmark(runner, jobs=jobs, sweep=sweep))))
+            figure4_per_benchmark(runner, sweep=sweep))))
         print("Fig. 5...", flush=True)
         sections.append(("Figure 5", format_coverage(
-            figure5_coverage(runner, jobs=jobs, sweep=sweep))))
+            figure5_coverage(runner, sweep=sweep))))
         print("Table I census...", flush=True)
         sections.insert(0, ("Table I", format_census(
-            table1_census(runner, jobs=jobs, sweep=sweep))))
+            table1_census(runner, sweep=sweep))))
         print("static x dynamic crosscheck...", flush=True)
         sections.insert(1, ("Static crosscheck", format_crosscheck(
             crosscheck_suites(runner))))
@@ -152,13 +138,13 @@ def main(argv):
 
     if args.write_experiments_md:
         _write_experiments_md(sections)
-        print("EXPERIMENTS.md updated.")
+        print("EXPERIMENTS_MEASURED.md updated.")
 
 
 def _cache_stats(runner):
     """End-of-run cache snapshot for the manifest. Entry counts and sizes
-    are read from disk (global truth); hit/miss counters only cover this
-    process — pool workers keep their own tallies."""
+    are read from disk; hit/miss counters cover this process, which is the
+    whole run."""
     from repro.runtime.profile_store import default_code_cache
 
     stats = {}

@@ -8,8 +8,7 @@ innermost DOALL loop pattern lifted from a numeric-suite benchmark —
 same body shape, same intrinsics — widened until the loop is >99% of the
 program's dynamic instructions. ``repro bench --tiers ... --loops`` times
 these per backend; the vec-vs-jit geomean over this suite is the
-"vector tier throughput on Fig. 3 numeric loops" number recorded in
-BENCH_infrastructure.json.
+"vector tier throughput on Fig. 3 numeric loops" number.
 
 Every kernel must vectorize (plan status "vectorized"), which
 tests/test_veccodegen.py enforces, so the suite cannot silently decay

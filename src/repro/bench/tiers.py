@@ -5,8 +5,8 @@ Times plain (uninstrumented) execution on any subset of the three tiers
 JIT), ``vec`` (vector-enabled JIT) — over either the bundled benchmark
 programs or the loop-throughput kernel suite
 (:mod:`repro.bench.loop_kernels`).  ``repro bench --tiers ...`` is the
-CLI face; :func:`bench_row` shapes a result for
-``BENCH_infrastructure.json``.
+CLI face; :func:`bench_row` shapes a result as the JSON row that
+``repro bench --json FILE`` appends.
 
 Whole programs measure end-to-end tier overheads (Amdahl-bound: tracked
 reductions and LCD loops stay scalar in every tier).  The ``--loops``
@@ -166,7 +166,7 @@ def format_tier_table(result):
 
 
 def bench_row(result, repeats):
-    """Shape a bench result as a BENCH_infrastructure.json row."""
+    """Shape a bench result as a ``repro bench --json`` row."""
     return {
         "kind": "tier_bench",
         "mode": result["mode"],

@@ -33,13 +33,14 @@ Commands:
 * ``calltls FILE``    — function-call/continuation TLS estimate (§I
   extension): per call site, how much callee time the continuation hides.
 * ``figures``         — regenerate the paper's figures over the bundled
-  synthetic suites (optionally ``--suite`` to restrict; ``--jobs N`` fans
-  the sweep out over a process pool, ``--cache-dir`` relocates the
-  profile store).
+  synthetic suites, checkpointing the sweep to a run ledger
+  (``--resume RUN_ID`` continues an interrupted run, ``--cache-dir``
+  relocates the profile store); ``--suite`` instead prints one suite's
+  speedups without a ledger.
 * ``bench``           — list the bundled benchmarks; with ``--tiers
   closure,jit,vec`` time them on each execution tier instead
   (``--loops`` switches to the loop-throughput kernel suite, ``--json``
-  appends the speedup table to a BENCH file).
+  appends the speedup table to a JSON file).
 * ``vec-report``      — per-loop vectorizer decisions (a FILE or
   ``--bench``): which innermost loops the vector tier takes, each
   bailout's reason, and the aggregate histogram.
@@ -47,9 +48,9 @@ Commands:
   (``stats``) the persistent caches: the profile store plus the JIT code
   cache, with hit/miss tallies from the most recent recorded run.
 * ``runs``            — inspect recorded sweep runs: ``list`` (default),
-  ``show RUN_ID`` (the run manifest: retries, cache hits, quarantines,
-  outcome tallies), ``clean``. Runs are written by ``figures --jobs``/
-  ``--resume`` and ``examples/full_paper_run.py``.
+  ``show RUN_ID`` (the run manifest: tasks done and resumed, cache hits,
+  outcome tallies), ``clean``. Runs are written by ``figures`` and
+  ``examples/full_paper_run.py``.
 """
 
 from __future__ import annotations
@@ -167,8 +168,16 @@ def _cmd_figures(args, out):
     )
     from .runtime.telemetry import RunTelemetry, format_run_summary
 
+    ledger_options = [
+        flag for flag, value in (
+            ("--resume", args.resume), ("--runs-dir", args.runs_dir),
+        ) if value
+    ]
+    if args.suite and ledger_options:
+        print(f"error: --suite keeps no run ledger, so it cannot be "
+              f"combined with {' or '.join(ledger_options)}", file=sys.stderr)
+        return 2
     runner = SuiteRunner(cache_dir=args.cache_dir)
-    jobs = args.jobs
     if args.suite:
         from .reporting.stats import geomean
 
@@ -185,22 +194,18 @@ def _cmd_figures(args, out):
     print(f"run id: {telemetry.run_id} "
           f"(resume an interrupted run with --resume {telemetry.run_id})",
           file=out)
-    sweep = {
-        "telemetry": telemetry,
-        "task_timeout": args.task_timeout,
-        "retries": args.retries,
-    }
+    sweep = {"telemetry": telemetry}
     try:
         print(format_speedup_figure(
-            figure2_nonnumeric(runner, jobs=jobs, sweep=sweep),
+            figure2_nonnumeric(runner, sweep=sweep),
             "Fig. 2 — non-numeric"), file=out)
         print(file=out)
         print(format_speedup_figure(
-            figure3_numeric(runner, jobs=jobs, sweep=sweep),
+            figure3_numeric(runner, sweep=sweep),
             "Fig. 3 — numeric"), file=out)
         print(file=out)
         print(format_coverage(
-            figure5_coverage(runner, jobs=jobs, sweep=sweep)), file=out)
+            figure5_coverage(runner, sweep=sweep)), file=out)
     except BaseException:
         telemetry.finish(status="interrupted")
         raise
@@ -737,10 +742,10 @@ def build_parser():
                      "default: the paper's 14)",
             )
         if name == "figures":
-            sub.add_argument("--suite", help="restrict to one suite")
             sub.add_argument(
-                "--jobs", type=int, default=None,
-                help="fan the sweep out over N worker processes",
+                "--suite",
+                help="print one suite's geomean speedups instead (no run "
+                     "ledger, so not with --resume or --runs-dir)",
             )
             sub.add_argument(
                 "--cache-dir", default=None,
@@ -750,16 +755,6 @@ def build_parser():
                 "--resume", default=None, metavar="RUN_ID",
                 help="resume an interrupted run from its ledger "
                      "(see `repro runs`)",
-            )
-            sub.add_argument(
-                "--task-timeout", type=float, default=None, metavar="SECONDS",
-                help="per-task result timeout; a timed-out task is retried "
-                     "and eventually quarantined to the serial path",
-            )
-            sub.add_argument(
-                "--retries", type=int, default=2,
-                help="retry attempts (with exponential backoff) before a "
-                     "failing task is quarantined (default: 2)",
             )
             sub.add_argument(
                 "--runs-dir", default=None,
@@ -803,7 +798,7 @@ def build_parser():
             sub.add_argument(
                 "--json", default=None, metavar="PATH",
                 help="append the result as a tier_bench row to this JSON "
-                     "file (BENCH_infrastructure.json schema)",
+                     "file (a {\"tier_bench_rows\": [...]} object)",
             )
         if name == "vec-report":
             sub.add_argument("file", nargs="?", default=None,

@@ -44,8 +44,8 @@ class ProfileCache:
     profile: value-predictor outcomes per (invocation, phi), raw
     iteration-cost arrays, the flattened invocation list, and the
     register-LCD key set per (loop, ``reduc`` flag). Caching never changes
-    a result — only how often it is recomputed — so serial, warm-start,
-    and process-pool evaluations stay bit-identical.
+    a result — only how often it is recomputed — so cold and warm-start
+    evaluations stay bit-identical.
     """
 
     def __init__(self, profile):

@@ -25,31 +25,28 @@ COVERAGE_CONFIGS = (
 )
 
 
-def figure2_nonnumeric(runner=None, jobs=None, sweep=None):
+def figure2_nonnumeric(runner=None, sweep=None):
     """Fig. 2: GEOMEAN speedups for SpecINT2000/2006 per configuration.
 
     Returns ``{config_name: {suite: geomean_speedup}}`` in the paper's
-    presentation order. ``jobs`` fans the underlying sweep out over a
-    process pool (the aggregation below is unchanged, so the output is
-    identical to a serial run). ``sweep`` carries the fault-tolerance
-    options of :meth:`SuiteRunner.evaluate_many` — ``telemetry``,
-    ``task_timeout``, ``retries`` — as a keyword dict.
+    presentation order. ``sweep`` is a dict whose ``telemetry`` entry (a
+    :class:`~repro.runtime.telemetry.RunTelemetry`) checkpoints the
+    underlying sweep to a run ledger; its other keys are ignored.
     """
-    return _figure_speedups(NON_NUMERIC_SUITES, runner, jobs, sweep)
+    return _figure_speedups(NON_NUMERIC_SUITES, runner, sweep)
 
 
-def figure3_numeric(runner=None, jobs=None, sweep=None):
+def figure3_numeric(runner=None, sweep=None):
     """Fig. 3: GEOMEAN speedups for EEMBC and SpecFP2000/2006."""
-    return _figure_speedups(NUMERIC_SUITES, runner, jobs, sweep)
+    return _figure_speedups(NUMERIC_SUITES, runner, sweep)
 
 
-def _figure_speedups(suites, runner, jobs=None, sweep=None):
+def _figure_speedups(suites, runner, sweep=None):
     runner = runner or default_runner()
     _prefetch(
         runner,
         [p for suite in suites for p in suite_programs(suite)],
         paper_configurations(),
-        jobs,
         sweep,
     )
     rows = {}
@@ -62,7 +59,7 @@ def _figure_speedups(suites, runner, jobs=None, sweep=None):
     return rows
 
 
-def figure4_per_benchmark(runner=None, jobs=None, sweep=None):
+def figure4_per_benchmark(runner=None, sweep=None):
     """Fig. 4: per-benchmark speedups for the best PDOALL
     (``reduc1-dep2-fn2``) and best HELIX (``reduc1-dep1-fn2``) configs,
     across all four SPEC suites.
@@ -75,7 +72,6 @@ def figure4_per_benchmark(runner=None, jobs=None, sweep=None):
         runner,
         [p for suite in spec_suites for p in suite_programs(suite)],
         [BEST_PDOALL, BEST_HELIX],
-        jobs,
         sweep,
     )
     result = {}
@@ -88,7 +84,7 @@ def figure4_per_benchmark(runner=None, jobs=None, sweep=None):
     return result
 
 
-def figure5_coverage(runner=None, jobs=None, sweep=None):
+def figure5_coverage(runner=None, sweep=None):
     """Fig. 5: mean dynamic coverage (percent) for the three selected
     configurations, per suite.
 
@@ -101,7 +97,6 @@ def figure5_coverage(runner=None, jobs=None, sweep=None):
         runner,
         [p for suite in ALL_SUITES for p in suite_programs(suite)],
         COVERAGE_CONFIGS,
-        jobs,
         sweep,
     )
     rows = {}
@@ -115,18 +110,13 @@ def figure5_coverage(runner=None, jobs=None, sweep=None):
     return rows
 
 
-def table1_census(runner=None, jobs=None, sweep=None):
-    """Table I as measured: dependence-category census per suite.
-
-    With ``jobs``, workers profile the benchmarks in parallel and populate
-    the shared disk store so the census pass below never re-profiles.
-    """
+def table1_census(runner=None, sweep=None):
+    """Table I as measured: dependence-category census per suite."""
     runner = runner or default_runner()
     _prefetch(
         runner,
         [p for suite in ALL_SUITES for p in suite_programs(suite)],
         [paper_configurations()[0]],
-        jobs,
         sweep,
     )
     rows = {}
@@ -140,18 +130,17 @@ def table1_census(runner=None, jobs=None, sweep=None):
     return rows
 
 
-def _prefetch(runner, programs, configs, jobs, sweep=None):
-    """Warm the runner's result memo with a (possibly parallel) sweep.
+def _prefetch(runner, programs, configs, sweep=None):
+    """Checkpoint the figure's cells to the run ledger.
 
-    A no-op for plain serial runs: the figure loops below compute each
-    cell on demand either way, so parallel and serial paths aggregate the
-    exact same EvaluationResult values. With ``sweep`` telemetry attached
-    the sweep always goes through ``evaluate_many`` — even serially — so
-    every task lands in the run ledger and the run is resumable.
+    A no-op without ``sweep["telemetry"]``: the figure loops compute each
+    cell on demand either way. With telemetry the cells go through
+    ``evaluate_many`` first, so every task lands in the run ledger and the
+    run is resumable; the loops then read the same memoized results.
     """
-    sweep = sweep or {}
-    if (jobs is not None and jobs > 1) or sweep.get("telemetry") is not None:
-        runner.evaluate_many(programs, configs, jobs=jobs, **sweep)
+    telemetry = (sweep or {}).get("telemetry")
+    if telemetry is not None:
+        runner.evaluate_many(programs, configs, telemetry=telemetry)
 
 
 # -- formatting ------------------------------------------------------------------

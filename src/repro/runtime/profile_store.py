@@ -229,7 +229,7 @@ class ProfileStore:
         )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: concurrent sweep workers may store the same
+            # Atomic publish: processes sharing a cache may store the same
             # entry; the rename makes readers see old-or-new, never partial.
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.root, prefix=".tmp-", suffix=".json"

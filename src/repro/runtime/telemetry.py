@@ -10,22 +10,24 @@ a :class:`RunTelemetry`. Each run owns a directory under the runs root
     Append-only event log, one JSON object per line. ``task`` events carry
     the *serialized evaluation results* for every configuration the task
     covered, so a later run can resume from them without re-evaluating;
-    ``retry`` / ``quarantine`` / ``resumed`` events record the fault
-    history. The ledger is the source of truth: the manifest is always
-    recomputable from it.
+    ``resumed`` events record which tasks a resumed run restored. The
+    ledger is the source of truth: the manifest is always recomputable
+    from it.
 
 ``<run_id>/manifest.json``
     Aggregate view, rewritten after every event: task tallies (done /
-    resumed / quarantined), retry count, profile-cache hits and misses,
-    total interpreter instructions profiled, cumulative task wall time,
-    and the model-outcome tally (parallel vs serial loop summaries across
-    every recorded result). ``repro runs`` renders this file.
+    resumed), profile-cache hits and misses, total interpreter
+    instructions profiled, cumulative task wall time, and the
+    model-outcome tally (parallel vs serial loop summaries across every
+    recorded result). ``repro runs`` renders this file.
 
 Resume semantics: :meth:`RunTelemetry.resume` replays the ledger; a task
 whose recorded configurations cover the request is served from the ledger
 (:meth:`completed_results`) and never re-executed. Results round-trip
 through JSON floats exactly (``repr`` round-trip), so a resumed run's
-figures are byte-identical to an uninterrupted one.
+figures are byte-identical to an uninterrupted one. Event types this code
+does not know (``retry``, ``quarantine`` and ``par_stats`` from older
+ledgers) are skipped on replay, not counted as corrupt.
 
 Telemetry must never break a sweep: every disk write is best-effort and
 failures are counted, not raised (mirroring the profile store's contract).
@@ -89,9 +91,7 @@ class RunTelemetry:
         self._completed = {}
         # Aggregate counters (recomputed from the ledger on resume).
         self._tasks = {}  # task -> last "task" event (without results)
-        self._retries = 0
         self._resumed = 0
-        self._quarantined = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._instructions = 0
@@ -137,16 +137,15 @@ class RunTelemetry:
 
     # -- events ---------------------------------------------------------------
 
-    def sweep_started(self, num_programs, num_configs, jobs):
+    def sweep_started(self, num_programs, num_configs):
         self._append({
             "type": "sweep",
             "programs": num_programs,
             "configs": num_configs,
-            "jobs": jobs,
         })
 
-    def task_done(self, task, results, *, attempt=1, wall_s=0.0,
-                  cache_hit=None, instructions=0, path="serial"):
+    def task_done(self, task, results, *, wall_s=0.0, cache_hit=None,
+                  instructions=0):
         """Checkpoint one completed (benchmark x all-configs) task.
 
         ``results`` is ``{config_name: EvaluationResult}``; the serialized
@@ -166,28 +165,15 @@ class RunTelemetry:
             "type": "task",
             "task": task,
             "configs": sorted(serialized),
-            "attempt": attempt,
             "wall_s": wall_s,
             "cache_hit": cache_hit,
             "instructions": instructions,
-            "path": path,
             "tally": tally,
             "results": serialized,
         }
         self._absorb_task(event)
         self._completed.setdefault(task, {}).update(serialized)
         self._append(event)
-
-    def task_retry(self, task, attempt, reason):
-        self._retries += 1
-        self._append({
-            "type": "retry", "task": task, "attempt": attempt,
-            "reason": reason,
-        })
-
-    def task_quarantined(self, task, reason):
-        self._quarantined[task] = reason
-        self._append({"type": "quarantine", "task": task, "reason": reason})
 
     def task_resumed(self, task):
         """Note that a task's cells were restored from the ledger."""
@@ -315,12 +301,8 @@ class RunTelemetry:
                     )
                 except Exception:
                     self.corrupt_lines += 1
-            elif kind == "retry":
-                self._retries += 1
             elif kind == "resumed":
                 self._resumed += 1
-            elif kind == "quarantine":
-                self._quarantined[event.get("task")] = event.get("reason")
             elif kind == "cache_stats":
                 caches = event.get("caches")
                 if isinstance(caches, dict):
@@ -369,8 +351,6 @@ class RunTelemetry:
             "updated": time.time(),
             "tasks_done": len(self._tasks),
             "tasks_resumed": self._resumed,
-            "tasks_quarantined": dict(self._quarantined),
-            "retries": self._retries,
             "cache_hits": self._cache_hits,
             "cache_misses": self._cache_misses,
             "instructions": self._instructions,
@@ -394,33 +374,8 @@ class RunTelemetry:
         return len(self._completed)
 
     @property
-    def retries(self):
-        return self._retries
-
-    @property
     def resumed(self):
         return self._resumed
-
-    @property
-    def quarantined(self):
-        return dict(self._quarantined)
-
-    def describe(self):
-        """One-line summary for run footers."""
-        s = self.summary()
-        parts = [
-            f"run {self.run_id}",
-            f"{s['tasks_done']} tasks",
-        ]
-        if s["tasks_resumed"]:
-            parts.append(f"{s['tasks_resumed']} resumed")
-        if s["retries"]:
-            parts.append(f"{s['retries']} retries")
-        if s["tasks_quarantined"]:
-            parts.append(f"{len(s['tasks_quarantined'])} quarantined")
-        parts.append(f"{s['cache_hits']} cache hits")
-        parts.append(f"{s['cache_misses']} misses")
-        return ", ".join(parts)
 
     def __repr__(self):
         return f"<RunTelemetry {self.run_id} ({len(self._tasks)} tasks)>"
@@ -485,7 +440,6 @@ def format_runs_table(manifests):
         return "no recorded runs"
     lines = [
         f"{'run id':24s}{'status':>12s}{'tasks':>7s}{'resumed':>9s}"
-        f"{'retries':>9s}{'quarantined':>13s}"
     ]
     for manifest in manifests:
         lines.append(
@@ -493,8 +447,6 @@ def format_runs_table(manifests):
             f"{manifest.get('status', '?'):>12s}"
             f"{manifest.get('tasks_done', 0):>7d}"
             f"{manifest.get('tasks_resumed', 0):>9d}"
-            f"{manifest.get('retries', 0):>9d}"
-            f"{len(manifest.get('tasks_quarantined') or {}):>13d}"
         )
     return "\n".join(lines)
 
@@ -502,18 +454,15 @@ def format_runs_table(manifests):
 def format_run_summary(manifest):
     """The ``repro runs show RUN_ID`` / full-paper-run summary block."""
     outcomes = manifest.get("outcomes") or {}
-    quarantined = manifest.get("tasks_quarantined") or {}
     lines = [
         f"run {manifest.get('run_id', '?')} [{manifest.get('status', '?')}]",
         f"  tasks:        {manifest.get('tasks_done', 0)} done, "
-        f"{manifest.get('tasks_resumed', 0)} resumed from ledger, "
-        f"{len(quarantined)} quarantined",
-        f"  retries:      {manifest.get('retries', 0)}",
+        f"{manifest.get('tasks_resumed', 0)} resumed from ledger",
         f"  profile cache: {manifest.get('cache_hits', 0)} hits, "
         f"{manifest.get('cache_misses', 0)} misses",
         f"  instructions: {manifest.get('instructions', 0)} profiled",
         f"  task wall:    {manifest.get('task_wall_s', 0.0):.2f}s summed "
-        f"across workers",
+        f"over tasks",
         f"  outcomes:     {outcomes.get('parallel_loops', 0)} parallel / "
         f"{outcomes.get('serial_loops', 0)} serial loop summaries",
     ]
@@ -546,6 +495,4 @@ def format_run_summary(manifest):
         )
         for oracle, count in sorted((fuzz.get("by_oracle") or {}).items()):
             lines.append(f"    oracle {oracle}: {count} disagreement(s)")
-    for task, reason in sorted(quarantined.items()):
-        lines.append(f"  quarantined:  {task} ({reason})")
     return "\n".join(lines)

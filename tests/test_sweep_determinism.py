@@ -1,10 +1,8 @@
-"""The parallel sweep engine must be invisible in the results.
+"""The sweep's grid shape: input order and the in-process result memo.
 
-``SuiteRunner.evaluate_many(jobs=N)`` fans the (benchmark x config) grid
-out over a process pool; these tests pin the contract that the fan-out
-changes wall-clock only: grid structure, ordering, and every reported
-float are identical to the serial path, and the workers' profiling runs
-land in the shared disk store so the parent never re-profiles.
+``SuiteRunner.evaluate_many`` returns ``{program: {config: result}}`` in
+the order it was given, and a cell evaluated once is never evaluated
+again by the same runner.
 """
 
 from repro.bench.suites import SuiteRunner, suite_programs
@@ -20,57 +18,13 @@ def _programs():
     return suite_programs("eembc")[:4]
 
 
-def _assert_identical_grids(expected, actual):
-    assert list(actual) == list(expected)
-    for full_name, row in expected.items():
-        assert list(actual[full_name]) == list(row)
-        for config_name, result in row.items():
-            other = actual[full_name][config_name]
-            assert other.speedup == result.speedup
-            assert other.coverage == result.coverage
-            assert other.total_serial == result.total_serial
-            assert other.total_parallel == result.total_parallel
-            assert set(other.loops) == set(result.loops)
-            for loop_id, summary in result.loops.items():
-                other_summary = other.loops[loop_id]
-                assert other_summary.serial_cost == summary.serial_cost
-                assert other_summary.parallel_cost == summary.parallel_cost
-                assert other_summary.iterations == summary.iterations
-                assert (
-                    other_summary.parallel_invocations
-                    == summary.parallel_invocations
-                )
-
-
-def test_parallel_sweep_identical_to_serial(tmp_path):
-    programs = _programs()
-    serial = SuiteRunner(cache_dir=tmp_path / "serial")
-    serial_grid = serial.evaluate_many(programs, CONFIGS)
-
-    parallel = SuiteRunner(cache_dir=tmp_path / "parallel")
-    parallel_grid = parallel.evaluate_many(programs, CONFIGS, jobs=4)
-
-    _assert_identical_grids(serial_grid, parallel_grid)
-
-
-def test_parallel_sweep_populates_parent_store(tmp_path):
-    programs = _programs()
-    runner = SuiteRunner(cache_dir=tmp_path / "shared")
-    runner.evaluate_many(programs, CONFIGS, jobs=2)
-    # The workers profiled and stored; the parent materializes instances
-    # (e.g. for the Table-I census) entirely from the shared store.
-    for program in programs:
-        runner.instance(program)
-    assert runner.profiles_measured == 0
-
-
 def test_evaluate_many_memoizes(tmp_path):
     programs = _programs()[:2]
     runner = SuiteRunner(cache_dir=tmp_path / "memo")
     first = runner.evaluate_many(programs, CONFIGS)
-    second = runner.evaluate_many(programs, CONFIGS, jobs=4)
-    # Every cell was already memoized in-process: the jobs path submits no
-    # work and returns the very same result objects.
+    second = runner.evaluate_many(programs, CONFIGS)
+    # Every cell was already memoized in-process: the second sweep
+    # evaluates nothing and returns the very same result objects.
     for full_name, row in first.items():
         for config_name, result in row.items():
             assert second[full_name][config_name] is result
@@ -79,7 +33,7 @@ def test_evaluate_many_memoizes(tmp_path):
 def test_grid_order_follows_input_order(tmp_path):
     programs = list(reversed(_programs()))
     runner = SuiteRunner(cache_dir=tmp_path / "order")
-    grid = runner.evaluate_many(programs, CONFIGS, jobs=2)
+    grid = runner.evaluate_many(programs, CONFIGS)
     assert list(grid) == [program.full_name for program in programs]
     for row in grid.values():
         assert list(row) == list(CONFIGS)

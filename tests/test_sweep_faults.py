@@ -1,18 +1,17 @@
-"""Fault tolerance of the parallel sweep engine.
+"""Interrupted sweeps resume from the run ledger.
 
-Pins the tentpole contract: a worker that dies mid-sweep (simulated with
-the ``REPRO_SWEEP_FAULT_SENTINEL`` hook, which SIGKILLs a worker from
-inside the task) must not change a single reported float — the sweep
-retries, or quarantines the task onto the serial path, and the grid comes
-out identical to an undisturbed run. Also covers the ``jobs`` argument
-contract and ledger-based resume through ``evaluate_many``.
+The sweep runs in one process and checkpoints each benchmark to the run
+ledger as soon as all of its configurations are evaluated, so the ledger
+is the only recovery path: a sweep that dies part-way must leave exactly
+the completed benchmarks behind, and a fresh runner resuming from them
+must report the same floats as an undisturbed run.
 """
+
+import json
 
 import pytest
 
-import repro.bench.suites as suites_mod
-from repro.bench.suites import FAULT_SENTINEL_ENV, SuiteRunner, suite_programs
-from repro.core.framework import FrameworkError
+from repro.bench.suites import SuiteRunner, suite_programs
 from repro.runtime.telemetry import RunTelemetry
 
 CONFIGS = ("doall:reduc1-dep0-fn0", "helix:reduc1-dep1-fn2")
@@ -24,10 +23,7 @@ def _programs():
 
 def _flat(grid):
     return {
-        (full_name, config_name): (
-            result.speedup, result.coverage,
-            result.total_serial, result.total_parallel,
-        )
+        (full_name, config_name): result.to_dict()
         for full_name, row in grid.items()
         for config_name, result in row.items()
     }
@@ -37,61 +33,6 @@ def _flat(grid):
 def baseline(tmp_path):
     runner = SuiteRunner(cache_dir=tmp_path / "baseline")
     return _flat(runner.evaluate_many(_programs(), CONFIGS))
-
-
-class TestJobsArgument:
-    def test_jobs_below_one_rejected(self, tmp_path):
-        runner = SuiteRunner(cache_dir=tmp_path / "c")
-        for bad in (0, -1, -7):
-            with pytest.raises(FrameworkError, match="positive worker count"):
-                runner.evaluate_many(_programs()[:1], CONFIGS, jobs=bad)
-
-    def test_jobs_one_is_serial_fast_path(self, tmp_path, monkeypatch,
-                                          baseline):
-        # jobs=1 must never spawn a pool: poison the executor to prove it.
-        def _no_pool(*args, **kwargs):
-            raise AssertionError("jobs=1 must not build a process pool")
-
-        monkeypatch.setattr(suites_mod, "ProcessPoolExecutor", _no_pool)
-        runner = SuiteRunner(cache_dir=tmp_path / "one")
-        grid = runner.evaluate_many(_programs(), CONFIGS, jobs=1)
-        assert _flat(grid) == baseline
-
-
-class TestFaultInjection:
-    def test_single_worker_kill_is_retried(self, tmp_path, monkeypatch,
-                                           baseline):
-        # The sentinel file arms exactly one SIGKILL fleet-wide; the sweep
-        # must absorb it via retry and still match the undisturbed grid.
-        monkeypatch.setenv(
-            FAULT_SENTINEL_ENV, str(tmp_path / "fault-sentinel")
-        )
-        runner = SuiteRunner(cache_dir=tmp_path / "faulty")
-        telemetry = RunTelemetry.create(root=tmp_path / "runs")
-        grid = runner.evaluate_many(
-            _programs(), CONFIGS, jobs=2, telemetry=telemetry, retries=3
-        )
-        telemetry.finish()
-        assert (tmp_path / "fault-sentinel").exists()
-        assert _flat(grid) == baseline
-        assert telemetry.retries >= 1
-        assert not telemetry.quarantined
-
-    def test_persistent_crash_quarantines_to_serial(self, tmp_path,
-                                                    monkeypatch, baseline):
-        # "always" kills every pool task on every attempt: the engine must
-        # give up on the pool and finish the grid on the serial path.
-        monkeypatch.setenv(FAULT_SENTINEL_ENV, "always")
-        runner = SuiteRunner(cache_dir=tmp_path / "doomed")
-        telemetry = RunTelemetry.create(root=tmp_path / "runs")
-        grid = runner.evaluate_many(
-            _programs(), CONFIGS, jobs=2, telemetry=telemetry, retries=1
-        )
-        telemetry.finish()
-        assert _flat(grid) == baseline
-        assert telemetry.quarantined
-        manifest = telemetry.summary()
-        assert manifest["tasks_done"] == len(_programs())
 
 
 class TestLedgerResume:
@@ -130,3 +71,41 @@ class TestLedgerResume:
         assert resumed.resumed == 1
         # Only the uncovered benchmarks were re-profiled.
         assert second.profiles_measured == len(programs) - 1
+
+    def test_sweep_killed_mid_run_resumes_from_ledger(self, tmp_path,
+                                                      monkeypatch, baseline):
+        runs_root = tmp_path / "runs"
+        programs = _programs()
+        doomed = programs[1].full_name
+        runner = SuiteRunner(cache_dir=tmp_path / "shared")
+        evaluate = runner.evaluate
+
+        def dies_inside_second_program(program, config):
+            # Fail on the second configuration, after the first one of the
+            # same benchmark has been evaluated, so a half-finished task
+            # exists in memory when the sweep dies.
+            if program.full_name == doomed and config.name == CONFIGS[1]:
+                raise RuntimeError("simulated interrupt")
+            return evaluate(program, config)
+
+        monkeypatch.setattr(runner, "evaluate", dies_inside_second_program)
+        telemetry = RunTelemetry.create(root=runs_root)
+        with pytest.raises(RuntimeError, match="simulated interrupt"):
+            runner.evaluate_many(programs, CONFIGS, telemetry=telemetry)
+        telemetry.finish(status="interrupted")
+
+        events = [
+            json.loads(line)
+            for line in telemetry.ledger_path.read_text().splitlines()
+        ]
+        tasks = [event for event in events if event["type"] == "task"]
+        assert [task["task"] for task in tasks] == [programs[0].full_name]
+        assert sorted(tasks[0]["results"]) == sorted(CONFIGS)
+
+        resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
+        fresh = SuiteRunner(cache_dir=tmp_path / "cold")
+        grid = fresh.evaluate_many(programs, CONFIGS, telemetry=resumed)
+        resumed.finish()
+        assert _flat(grid) == baseline
+        assert resumed.resumed == 1
+        assert fresh.profiles_measured == len(programs) - 1

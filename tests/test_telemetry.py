@@ -49,7 +49,7 @@ def test_task_done_round_trips_bit_identical(tmp_path, grid_results):
     telemetry = RunTelemetry.create(root=tmp_path)
     for task, results in grid_results.items():
         telemetry.task_done(task, results, wall_s=0.5, cache_hit=False,
-                            instructions=123, path="pool")
+                            instructions=123)
     telemetry.finish()
 
     resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
@@ -123,20 +123,65 @@ def test_ledger_with_retired_event_type_resumes(tmp_path, grid_results):
     assert "par_stats" not in resumed.summary()
 
 
+def test_ledger_from_the_process_pool_sweep_resumes(tmp_path, grid_results):
+    # Ledgers written while the sweep could run on a process pool carry a
+    # ``jobs`` count in ``sweep`` events, ``retry`` and ``quarantine``
+    # events, and ``attempt``/``path`` fields in ``task`` events. Replay
+    # skips what it no longer knows and restores every task.
+    (first, first_results), (second, second_results) = grid_results.items()
+    run_dir = tmp_path / "pool-run"
+    run_dir.mkdir()
+    events = [
+        {"type": "start", "schema": RUN_LEDGER_SCHEMA},
+        {"type": "sweep", "programs": 2, "configs": 2, "jobs": 2},
+        {"type": "retry", "task": first, "attempt": 1,
+         "reason": "worker-crash"},
+        {"type": "task", "task": first, "configs": sorted(CONFIGS),
+         "attempt": 2, "wall_s": 0.5, "cache_hit": False,
+         "instructions": 10, "path": "pool",
+         "tally": {"parallel_loops": 0, "serial_loops": 0},
+         "results": {name: r.to_dict() for name, r in first_results.items()}},
+        {"type": "quarantine", "task": second, "reason": "timeout"},
+        {"type": "task", "task": second, "configs": sorted(CONFIGS),
+         "attempt": 3, "wall_s": 0.25, "cache_hit": True,
+         "instructions": 20, "path": "serial",
+         "tally": {"parallel_loops": 0, "serial_loops": 0},
+         "results": {name: r.to_dict() for name, r in second_results.items()}},
+        {"type": "finish", "status": "interrupted"},
+    ]
+    (run_dir / "ledger.jsonl").write_text(
+        "".join(json.dumps(event) + "\n" for event in events)
+    )
+
+    resumed = RunTelemetry.resume("pool-run", root=tmp_path)
+    assert resumed.corrupt_lines == 0
+    summary = resumed.summary()
+    assert summary["tasks_done"] == 2
+    assert "retries" not in summary and "tasks_quarantined" not in summary
+
+    runner = SuiteRunner(store=False)
+    grid = runner.evaluate_many(
+        suite_programs("eembc")[:2], CONFIGS, telemetry=resumed
+    )
+    assert resumed.resumed == 2
+    assert runner.profiles_measured == 0
+    for task, results in grid_results.items():
+        for name, result in results.items():
+            assert grid[task][name].to_dict() == result.to_dict()
+
+
 def test_manifest_aggregates(tmp_path, grid_results):
     telemetry = RunTelemetry.create(root=tmp_path)
     tasks = list(grid_results)
     telemetry.task_done(tasks[0], grid_results[tasks[0]],
                         wall_s=1.0, cache_hit=True, instructions=100)
-    telemetry.task_retry(tasks[1], attempt=1, reason="worker-crash")
-    telemetry.task_done(tasks[1], grid_results[tasks[1]], attempt=2,
+    telemetry.task_done(tasks[1], grid_results[tasks[1]],
                         wall_s=2.0, cache_hit=False, instructions=50)
     telemetry.finish()
 
     manifest = load_manifest(telemetry.run_id, root=tmp_path)
     assert manifest["status"] == "complete"
     assert manifest["tasks_done"] == 2
-    assert manifest["retries"] == 1
     assert manifest["cache_hits"] == 1
     assert manifest["cache_misses"] == 1
     assert manifest["instructions"] == 150
@@ -152,23 +197,9 @@ def test_manifest_aggregates(tmp_path, grid_results):
     # Replay reproduces the same aggregates.
     resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
     replayed = resumed.summary()
-    for key in ("tasks_done", "retries", "cache_hits", "cache_misses",
+    for key in ("tasks_done", "cache_hits", "cache_misses",
                 "instructions", "outcomes"):
         assert replayed[key] == manifest[key]
-
-
-def test_quarantine_is_run_history(tmp_path, grid_results):
-    # Quarantine records persist even after the serial fallback completes
-    # the task: the manifest documents that the pool path failed, like the
-    # retry counter does. The results themselves are still restorable.
-    telemetry = RunTelemetry.create(root=tmp_path)
-    task, results = next(iter(grid_results.items()))
-    telemetry.task_quarantined(task, "worker-crash")
-    telemetry.task_done(task, results, path="serial-fallback")
-    assert telemetry.quarantined == {task: "worker-crash"}
-    assert telemetry.completed_results(task, list(CONFIGS)) is not None
-    resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
-    assert resumed.quarantined == {task: "worker-crash"}
 
 
 def test_runs_registry_and_formatting(tmp_path, grid_results):
@@ -195,13 +226,3 @@ def test_runs_registry_and_formatting(tmp_path, grid_results):
 def test_runs_root_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs-here"))
     assert runs_root() == tmp_path / "runs-here"
-
-
-def test_describe_mentions_retries(tmp_path, grid_results):
-    telemetry = RunTelemetry.create(root=tmp_path)
-    task, results = next(iter(grid_results.items()))
-    telemetry.task_retry(task, attempt=1, reason="timeout")
-    telemetry.task_done(task, results, attempt=2)
-    line = telemetry.describe()
-    assert telemetry.run_id in line
-    assert "1 retries" in line
