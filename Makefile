@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench figures examples clean
+.PHONY: install test lint-ir transform-report fuzz-smoke fuzz-report bench figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,14 +13,6 @@ test:
 
 lint-ir:
 	python -m repro lint --bench all
-
-crosscheck:
-	python tools/crosscheck_report.py
-
-# Advisor soundness gate: every advised @parallel/@reduce loop across the
-# bench suites must profile conflict-free (exits non-zero otherwise).
-advise-report:
-	python -m repro advise --suite --crosscheck --loops
 
 transform-report:
 	python tools/transform_report.py
@@ -37,8 +29,10 @@ fuzz-report:
 bench:
 	pytest benchmarks/ --benchmark-only
 
+# The full paper run; exits non-zero if its crosscheck or advisor report
+# shows a soundness violation.
 figures:
-	python examples/full_paper_run.py
+	python -m repro figures
 
 examples:
 	python examples/quickstart.py

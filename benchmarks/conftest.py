@@ -1,9 +1,12 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
+"""Shared fixtures for the table and ablation harnesses.
 
-Profiling the 48 synthetic benchmarks once per session keeps the
-pytest-benchmark timings focused on the evaluation machinery. Each harness
-also writes its regenerated table under ``benchmarks/out/`` so the artifacts
-survive without ``-s``.
+Figures 2-5 come from ``python -m repro figures``; these harnesses cover
+Fig. 1, Tables I-II (with the dynamic census), the ablations and the
+related-work comparisons. Profiling the 48 synthetic benchmarks once per
+session keeps the pytest-benchmark timings focused on the evaluation
+machinery. Each harness also writes its regenerated table under
+``benchmarks/out/`` (ignored by git) so the artifacts survive without
+``-s``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ run). Three layers of caching keep it off the iteration loop:
 2. every profiling run is persisted in the on-disk
    :class:`~repro.runtime.profile_store.ProfileStore` (keyed by source +
    fuel + schema versions), so warm starts — a second ``pytest`` run, a
-   re-run of ``examples/full_paper_run.py`` — skip re-profiling entirely;
+   re-run of ``repro figures`` — skip re-profiling entirely;
 3. evaluation results are memoized per ``(benchmark, configuration)``, so
    the figure harnesses never evaluate the same cell twice (Fig. 4 and
    Fig. 5 reuse the Fig. 2/3 sweep).

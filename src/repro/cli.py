@@ -32,11 +32,15 @@ Commands:
   at which each loop parallelizes.
 * ``calltls FILE``    — function-call/continuation TLS estimate (§I
   extension): per call site, how much callee time the continuation hides.
-* ``figures``         — regenerate the paper's figures over the bundled
+* ``figures``         — the full paper run: Table I and the crosscheck,
+  transform and advisor reports, then Figures 2-5 over the bundled
   synthetic suites, checkpointing the sweep to a run ledger
   (``--resume RUN_ID`` continues an interrupted run, ``--cache-dir``
-  relocates the profile store); ``--suite`` instead prints one suite's
-  speedups without a ledger.
+  relocates the profile store, ``--write-experiments-md`` also writes
+  EXPERIMENTS_MEASURED.md). Exits 1 with a ``FAIL:`` line per violation
+  if a statically proved DOALL loop or an advised-parallel loop
+  conflicted, or too few loops resolved statically. ``--suite`` instead
+  prints one suite's speedups without a ledger.
 * ``bench``           — list the bundled benchmarks; with ``--tiers
   closure,jit,vec`` time them on each execution tier instead
   (``--loops`` switches to the loop-throughput kernel suite, ``--json``
@@ -50,13 +54,15 @@ Commands:
 * ``runs``            — inspect recorded sweep runs: ``list`` (default),
   ``show RUN_ID`` (the run manifest: tasks done and resumed, cache hits,
   outcome tallies), ``clean``. Runs are written by ``figures`` and
-  ``examples/full_paper_run.py``.
+  ``fuzz``.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
+import time
 
 from .core.config import LPConfig, paper_configurations
 from .core.framework import Loopapalooza
@@ -158,25 +164,29 @@ def _cmd_diagnose(args, out):
 
 
 def _cmd_figures(args, out):
+    """The full paper run (or, with ``--suite``, one suite's speedups).
+    Exits 1 if the run's own crosscheck or advisor report shows a
+    soundness violation; everything is printed either way."""
     from .bench.suites import SuiteRunner
-    from .reporting import (
-        figure2_nonnumeric,
-        figure3_numeric,
-        figure5_coverage,
-        format_coverage,
-        format_speedup_figure,
+    from .reporting.experiments import (
+        PAPER_HEADLINES,
+        format_experiments_md,
+        paper_run,
     )
     from .runtime.telemetry import RunTelemetry, format_run_summary
 
-    ledger_options = [
+    full_run_options = [
         flag for flag, value in (
             ("--resume", args.resume), ("--runs-dir", args.runs_dir),
+            ("--write-experiments-md", args.write_experiments_md),
         ) if value
     ]
-    if args.suite and ledger_options:
-        print(f"error: --suite keeps no run ledger, so it cannot be "
-              f"combined with {' or '.join(ledger_options)}", file=sys.stderr)
+    if args.suite and full_run_options:
+        print(f"error: --suite prints one suite's speedups and keeps no run "
+              f"ledger, so it cannot be combined with "
+              f"{' or '.join(full_run_options)}", file=sys.stderr)
         return 2
+    start = time.time()
     runner = SuiteRunner(cache_dir=args.cache_dir)
     if args.suite:
         from .reporting.stats import geomean
@@ -189,30 +199,47 @@ def _cmd_figures(args, out):
         return 0
     if args.resume:
         telemetry = RunTelemetry.resume(args.resume, root=args.runs_dir)
+        print(f"resuming run {telemetry.run_id} "
+              f"(ledger covers {telemetry.ledger_tasks} tasks)", file=out)
     else:
         telemetry = RunTelemetry.create(root=args.runs_dir)
-    print(f"run id: {telemetry.run_id} "
-          f"(resume an interrupted run with --resume {telemetry.run_id})",
-          file=out)
-    sweep = {"telemetry": telemetry}
+        print(f"run id: {telemetry.run_id} "
+              f"(resume an interrupted run with --resume {telemetry.run_id})",
+              file=out)
+    print("profiling and evaluating the bundled suites...", file=out,
+          flush=True)
     try:
-        print(format_speedup_figure(
-            figure2_nonnumeric(runner, sweep=sweep),
-            "Fig. 2 — non-numeric"), file=out)
-        print(file=out)
-        print(format_speedup_figure(
-            figure3_numeric(runner, sweep=sweep),
-            "Fig. 3 — numeric"), file=out)
-        print(file=out)
-        print(format_coverage(
-            figure5_coverage(runner, sweep=sweep)), file=out)
+        sections, violations = paper_run(runner, telemetry)
     except BaseException:
+        # The ledger already holds every completed task, so
+        # --resume RUN_ID picks up from here.
         telemetry.finish(status="interrupted")
         raise
-    telemetry.finish()
+    telemetry.finish(status="unsound" if violations else "complete")
+
+    for title, text in sections:
+        print(file=out)
+        print(f"##### {title} " + "#" * max(0, 60 - len(title)), file=out)
+        print(text, file=out)
     print(file=out)
+    print(PAPER_HEADLINES, file=out)
+    print(f"\ntotal wall time: {time.time() - start:.1f}s", file=out)
+    print(f"profiles measured this run: {runner.profiles_measured} "
+          f"(cache hits skip re-profiling)", file=out)
+    if runner.store is not None:
+        print(f"profile store: {runner.store.root} "
+              f"[{runner.store.stats.describe()}]", file=out)
+    print(file=out)
+    print("run telemetry " + "-" * 46, file=out)
     print(format_run_summary(telemetry.summary()), file=out)
-    return 0
+    print(f"ledger: {telemetry.ledger_path}", file=out)
+    if args.write_experiments_md:
+        pathlib.Path("EXPERIMENTS_MEASURED.md").write_text(
+            format_experiments_md(sections))
+        print("EXPERIMENTS_MEASURED.md updated.", file=out)
+    for violation in violations:
+        print(f"FAIL: {violation}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def _cmd_cache(args, out):
@@ -745,7 +772,8 @@ def build_parser():
             sub.add_argument(
                 "--suite",
                 help="print one suite's geomean speedups instead (no run "
-                     "ledger, so not with --resume or --runs-dir)",
+                     "ledger, so not with --resume, --runs-dir or "
+                     "--write-experiments-md)",
             )
             sub.add_argument(
                 "--cache-dir", default=None,
@@ -760,6 +788,11 @@ def build_parser():
                 "--runs-dir", default=None,
                 help="run-ledger directory (default: ~/.cache/repro/runs "
                      "or REPRO_RUNS_DIR)",
+            )
+            sub.add_argument(
+                "--write-experiments-md", action="store_true",
+                help="also write every section to EXPERIMENTS_MEASURED.md "
+                     "in the working directory",
             )
         if name == "runs":
             sub.add_argument(

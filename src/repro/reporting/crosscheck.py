@@ -16,11 +16,11 @@ observed, and buckets each loop:
 * ``dynamic-lcd``       — statically ``UNKNOWN`` with observed conflicts.
 * ``unsound-static-doall`` — ``STATIC_DOALL`` *with* dynamic conflicts.
   This is a bug in the static engine by construction; ``repro crosscheck``
-  exits non-zero if any loop lands here.
+  and ``repro figures`` exit non-zero if any loop lands here.
 * ``unobserved``        — the loop never ran under the profiling input.
 
 The joint view is the agreement table behind ``repro crosscheck`` and the
-"Static crosscheck" section of ``examples/full_paper_run.py``.
+"Static crosscheck" section of ``repro figures``.
 """
 
 from __future__ import annotations

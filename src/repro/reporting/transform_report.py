@@ -11,7 +11,7 @@ reports what fission/peeling/fusion changed:
 * which transform produced each unlocked loop.
 
 This backs ``repro transform`` and the "Transform unlock" section of
-``examples/full_paper_run.py``. The transformed modules are re-verified by
+``repro figures``. The transformed modules are re-verified by
 the regular crosscheck (``repro crosscheck`` with ``REPRO_TRANSFORM=1``):
 a post-transform ``STATIC_DOALL`` that conflicts dynamically lands in
 ``unsound-static-doall`` exactly like an untransformed one.

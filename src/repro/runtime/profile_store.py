@@ -326,21 +326,10 @@ def default_code_cache_root():
     return pathlib.Path.home() / ".cache" / "repro" / "code"
 
 
-#: Entry cap for the on-disk code cache (oldest-access eviction). Sized so
-#: a full bundled-suite sweep (48 programs x 2 variants x a few tiers) fits
-#: with headroom; long-lived fuzzing hosts stay bounded.
-CODE_CACHE_CAP_ENV = "REPRO_CODE_CACHE_CAP"
+#: Default entry cap for the on-disk code cache (oldest-access eviction).
+#: Sized so a full bundled-suite sweep (48 programs x 2 variants x a few
+#: tiers) fits with headroom; long-lived fuzzing hosts stay bounded.
 CODE_CACHE_CAP_DEFAULT = 1024
-
-
-def code_cache_cap():
-    raw = os.environ.get(CODE_CACHE_CAP_ENV)
-    if not raw:
-        return CODE_CACHE_CAP_DEFAULT
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return CODE_CACHE_CAP_DEFAULT
 
 
 class CodeCache:
@@ -359,9 +348,8 @@ class CodeCache:
         )
         self.schema = CODE_CACHE_SCHEMA if schema is None else schema
         self.stats = ProfileStoreStats()
-        #: Entry cap (LRU by file mtime); ``None`` re-reads the env var at
-        #: every store so tests and long-lived hosts can tune it live.
-        self._cap = cap
+        #: Entry cap (LRU by file mtime).
+        self.cap = CODE_CACHE_CAP_DEFAULT if cap is None else cap
         self.evictions = 0
 
     def _path_for(self, key):
@@ -433,16 +421,12 @@ class CodeCache:
         self._evict_to_cap()
         return True
 
-    def cap(self):
-        return self._cap if self._cap is not None else code_cache_cap()
-
     def _evict_to_cap(self):
         """Drop least-recently-used entries until the cap holds. Races
         with concurrent processes are benign: eviction of an entry another
         process is about to read just costs that process a miss."""
-        cap = self.cap()
         entries = self.entries()
-        if len(entries) <= cap:
+        if len(entries) <= self.cap:
             return
         by_age = []
         for path in entries:
@@ -451,7 +435,7 @@ class CodeCache:
             except OSError:
                 pass
         by_age.sort()
-        for _, _, path in by_age[: max(0, len(by_age) - cap)]:
+        for _, _, path in by_age[: max(0, len(by_age) - self.cap)]:
             try:
                 path.unlink()
                 self.evictions += 1
@@ -491,7 +475,7 @@ class CodeCache:
             "entries": len(entries),
             "size_bytes": self.size_bytes(),
             "schema": self.schema,
-            "cap": self.cap(),
+            "cap": self.cap,
             "evictions": self.evictions,
             **self.stats.as_dict(),
         }

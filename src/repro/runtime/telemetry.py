@@ -1,7 +1,7 @@
 """Structured run telemetry: the JSONL run ledger and the run manifest.
 
 A *run* is one logical sweep over a (benchmark x configuration) grid — a
-``full_paper_run``, a ``repro figures`` invocation, or any direct
+``repro figures`` invocation or any direct
 :meth:`~repro.bench.suites.SuiteRunner.evaluate_many` call that was handed
 a :class:`RunTelemetry`. Each run owns a directory under the runs root
 (default ``~/.cache/repro/runs``, override with ``REPRO_RUNS_DIR``):
@@ -452,7 +452,7 @@ def format_runs_table(manifests):
 
 
 def format_run_summary(manifest):
-    """The ``repro runs show RUN_ID`` / full-paper-run summary block."""
+    """The ``repro runs show RUN_ID`` / ``repro figures`` summary block."""
     outcomes = manifest.get("outcomes") or {}
     lines = [
         f"run {manifest.get('run_id', '?')} [{manifest.get('status', '?')}]",

@@ -4,14 +4,14 @@ A long-lived host (sweep driver, fuzz campaign, REPL) must not grow
 memory or disk without bound, so every cache on the compile/execute path
 is LRU-capped and counts its evictions:
 
-* the persistent on-disk :class:`CodeCache` (``REPRO_CODE_CACHE_CAP``,
+* the persistent on-disk :class:`CodeCache` (``CodeCache(cap=...)``,
   mtime-LRU, touched on every hit),
 * the in-process codegen memo (``codegen._CODE_MEMO_CAP``), and
 * the per-invocation gather-window cache in the vector runtime
   (``veccodegen._WINDOW_CAP``).
 
-The two in-process bounds are constants; the tests shrink them with
-``monkeypatch`` to force evictions.
+All three default caps are constants; the tests pass a small ``cap`` or
+shrink the in-process bounds with ``monkeypatch`` to force evictions.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ import os
 from repro.frontend.codegen import compile_source
 from repro.interp import codegen, veccodegen
 from repro.interp.interpreter import Interpreter
-from repro.runtime.profile_store import (
-    CODE_CACHE_CAP_DEFAULT,
-    CodeCache,
-    code_cache_cap,
-)
+from repro.runtime.profile_store import CODE_CACHE_CAP_DEFAULT, CodeCache
 
 
 def _stamp(cache, key, mtime):
@@ -60,16 +56,8 @@ def test_code_cache_hit_refreshes_lru_rank(tmp_path):
     assert cache.evictions == 1
 
 
-def test_code_cache_cap_env(tmp_path, monkeypatch):
-    assert code_cache_cap() == CODE_CACHE_CAP_DEFAULT
-    monkeypatch.setenv("REPRO_CODE_CACHE_CAP", "5")
-    assert code_cache_cap() == 5
-    cache = CodeCache(root=tmp_path)  # cap=None re-reads the env live
-    assert cache.cap() == 5
-    assert cache.info()["cap"] == 5
-
-
 def test_code_cache_info_reports_evictions(tmp_path):
+    assert CodeCache(root=tmp_path).info()["cap"] == CODE_CACHE_CAP_DEFAULT
     cache = CodeCache(root=tmp_path, cap=1)
     cache.store("aaa", "a")
     _stamp(cache, "aaa", 1_000_000)

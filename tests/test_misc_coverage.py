@@ -116,7 +116,8 @@ class TestFigureHelpers:
 
     def test_cli_figures_suite_rejects_ledger_options(self, tmp_path, capsys):
         # --suite prints one suite's speedups and keeps no run ledger, so
-        # the ledger options must be refused, not silently ignored.
+        # the options of the full run must be refused, not silently
+        # ignored.
         from repro.cli import main
         import io
 
@@ -124,6 +125,7 @@ class TestFigureHelpers:
         for ledger_args in (
             ["--resume", "20990101-000000-abcdef"],
             ["--runs-dir", runs_dir],
+            ["--write-experiments-md"],
         ):
             out = io.StringIO()
             code = main(["figures", "--suite", "eembc", *ledger_args], out=out)

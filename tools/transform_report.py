@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Transform-pipeline report and soundness gate over the bundled suites.
 
-Two halves, mirroring ``tools/crosscheck_report.py``:
+Two halves, each with its own gate (the untransformed crosscheck gates
+``repro figures``):
 
 1. the **unlock figure** — every benchmark compiled with the structural
    transforms (fission / peeling / fusion) off and on, post-transform
