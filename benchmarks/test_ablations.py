@@ -57,7 +57,6 @@ class TestPdoallThreshold:
     def test_cutoff_sensitivity(self, benchmark, runner, artifact_dir):
         """Sweep the 80 % conflicting-iteration cut-off and measure the
         non-numeric geomean at the best realistic PDOALL configuration."""
-        import repro.core.evaluator as evaluator_module
         import repro.runtime.cost_models as models
 
         config = LPConfig("pdoall", 1, 2, 2)
@@ -69,7 +68,6 @@ class TestPdoallThreshold:
             try:
                 for threshold in (0.2, 0.5, 0.8, 0.95):
                     models.PDOALL_SERIAL_THRESHOLD = threshold
-                    evaluator_module.PDOALL_SERIAL_THRESHOLD = threshold
                     speedups = []
                     for program in programs:
                         lp = runner.instance(program)
@@ -83,7 +81,6 @@ class TestPdoallThreshold:
                     results.append((threshold, geomean(speedups)))
             finally:
                 models.PDOALL_SERIAL_THRESHOLD = original
-                evaluator_module.PDOALL_SERIAL_THRESHOLD = original
             return results
 
         rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -17,7 +17,6 @@ from .evaluator import (
     EvaluationResult,
     LoopSummary,
     ProfileCache,
-    evaluate_all,
     evaluate_config,
 )
 from .framework import Loopapalooza
@@ -55,7 +54,6 @@ __all__ = [
     "PHI_REDUCTION",
     "ProfileCache",
     "build_instrumentation",
-    "evaluate_all",
     "estimate_call_tls",
     "evaluate_config",
     "format_call_tls",

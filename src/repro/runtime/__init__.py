@@ -7,7 +7,6 @@ HELIX cost models.
 """
 
 from .cost_models import (
-    PDOALL_SERIAL_THRESHOLD,
     ModelOutcome,
     doacross_cost,
     doall_cost,
@@ -40,7 +39,6 @@ __all__ = [
     "CallSiteSummary",
     "LoopInvocation",
     "ModelOutcome",
-    "PDOALL_SERIAL_THRESHOLD",
     "ProfilingRuntime",
     "ProgramProfile",
     "RunTelemetry",

@@ -51,19 +51,13 @@ def serial_outcome(iter_costs, reason, serial=None):
     return ModelOutcome(serial, False, reason)
 
 
-def doall_cost(iter_costs, has_any_conflict, serial=None, iter_max=None):
-    """DOALL: all iterations start together; a single conflict aborts.
-
-    ``iter_max`` mirrors ``serial``: callers that already know
-    ``float(np.max(iter_costs))`` pass it to skip the re-scan.
-    """
+def doall_cost(iter_costs, has_any_conflict, serial=None):
+    """DOALL: all iterations start together; a single conflict aborts."""
     if len(iter_costs) == 0:
         return ModelOutcome(0.0, True)
     if has_any_conflict:
         return serial_outcome(iter_costs, "conflict", serial)
-    if iter_max is None:
-        iter_max = float(np.max(iter_costs))
-    return ModelOutcome(iter_max, True)
+    return ModelOutcome(float(np.max(iter_costs)), True)
 
 
 def pdoall_phase_breaks(conflict_pairs, n):
@@ -88,8 +82,7 @@ def pdoall_phase_breaks(conflict_pairs, n):
     return breaks
 
 
-def pdoall_cost(iter_costs, breaks, serial=None, conflicts=None,
-                iter_max=None):
+def pdoall_cost(iter_costs, breaks, serial=None, conflicts=None):
     """Partial-DOALL phase simulation over precomputed phase breaks.
 
     ``conflicts`` is the number of *conflicting iterations* — the quantity
@@ -111,8 +104,6 @@ def pdoall_cost(iter_costs, breaks, serial=None, conflicts=None,
         costs = np.asarray(iter_costs, dtype=float)
         starts = np.concatenate(([0], np.asarray(breaks, dtype=int)))
         total = float(np.sum(np.maximum.reduceat(costs, starts)))
-    elif iter_max is not None:
-        total = iter_max
     else:
         total = float(np.max(np.asarray(iter_costs, dtype=float)))
     if serial is None:
@@ -122,7 +113,7 @@ def pdoall_cost(iter_costs, breaks, serial=None, conflicts=None,
     return ModelOutcome(total, True)
 
 
-def helix_cost(iter_costs, delta_largest, serial=None, iter_max=None):
+def helix_cost(iter_costs, delta_largest, serial=None):
     """HELIX-style synchronized execution.
 
     ``delta_largest`` is the largest per-iteration producer->consumer skew
@@ -132,9 +123,7 @@ def helix_cost(iter_costs, delta_largest, serial=None, iter_max=None):
     n = len(iter_costs)
     if n == 0:
         return ModelOutcome(0.0, True)
-    if iter_max is None:
-        iter_max = float(np.max(iter_costs))
-    cost = iter_max + float(delta_largest) * n
+    cost = float(np.max(iter_costs)) + float(delta_largest) * n
     if serial is None:
         serial = float(np.sum(iter_costs))
     if cost >= serial:

@@ -20,10 +20,11 @@ other two versions live with the code they describe:
 
 Entries are single JSON files named ``<key>.json`` holding the serialized
 :class:`~repro.runtime.profile.ProgramProfile`, the static loop
-classification, the program output, and a payload checksum. Corruption
-(truncated writes, bit rot, schema drift) is detected on load and the
-entry is discarded — the caller falls back to re-profiling and the entry
-is rewritten.
+classification, the program output, and a sha256 checksum of the stored
+payload bytes. Corruption (truncated writes, bit rot, undecodable bytes,
+schema drift, an entry under another key's name) is detected on load,
+before the payload is parsed, and the entry is discarded — the caller
+falls back to re-profiling and the entry is rewritten.
 
 The default location is ``~/.cache/repro/profiles`` (override with the
 ``REPRO_CACHE_DIR`` environment variable; set ``REPRO_NO_PROFILE_CACHE=1``
@@ -168,24 +169,21 @@ class ProfileStore:
     def load(self, source, fuel, inline=False, transform=False):
         """Return a :class:`CachedRun` on a hit, else ``None``.
 
-        Corrupt entries (bad JSON, wrong schema, checksum mismatch, missing
-        fields) are deleted and reported as a miss so the caller re-profiles
-        and overwrites them.
+        The entry must have the exact layout :meth:`store` writes, for this
+        path's key, and its checksum must match the payload bytes; only
+        then is the payload parsed. A corrupt entry (any layout deviation,
+        undecodable byte, checksum mismatch or bad field) is deleted and
+        reported as a miss so the caller re-profiles and overwrites it.
         """
         key = self.cache_key(source, fuel, inline, transform)
         path = self._path_for(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            entry = json.loads(text)
-            if entry.get("schema") != self.schema:
-                raise ValueError("schema mismatch")
-            payload = entry["payload"]
-            if entry.get("checksum") != _checksum(payload):
-                raise ValueError("checksum mismatch")
+            payload = _entry_payload(data, self.schema, key)
             profile = profile_from_dict(payload["profile"])
             static_loops = _static_loops_from_dict(payload["static_loops"])
             output = list(payload["output"])
@@ -221,11 +219,8 @@ class ProfileStore:
         # multi-megabyte profile.
         payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
-        entry_text = '{"schema": %s, "key": %s, "payload": %s, "checksum": %s}' % (
-            json.dumps(self.schema),
-            json.dumps(key),
-            payload_json,
-            json.dumps(checksum),
+        entry_text = (
+            _entry_head(self.schema, key) + payload_json + _entry_tail(checksum)
         )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -360,12 +355,12 @@ class CodeCache:
         deleted and counted, then reported as a miss."""
         path = self._path_for(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            entry = json.loads(text)
+            entry = json.loads(data.decode("utf-8"))
             if entry.get("schema") != self.schema:
                 raise ValueError("schema mismatch")
             source = entry["source"]
@@ -503,9 +498,37 @@ def default_code_cache():
 # -- payload helpers -----------------------------------------------------------
 
 
-def _checksum(payload):
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+# A profile entry is ``_entry_head(schema, key)``, the payload's canonical
+# JSON, then ``_entry_tail(sha256 of the payload bytes)``: one JSON object,
+# written as ASCII, whose checksum covers exactly the bytes between the two.
+
+
+def _entry_head(schema, key):
+    return '{"schema": %s, "key": %s, "payload": ' % (
+        json.dumps(schema), json.dumps(key)
+    )
+
+
+def _entry_tail(checksum):
+    return ', "checksum": %s}' % json.dumps(checksum)
+
+
+_TAIL_BYTES = len(_entry_tail("0" * 64))
+
+
+def _entry_payload(data, schema, key):
+    """The parsed payload of entry bytes ``data`` for ``key``; raises
+    ``ValueError`` unless ``data`` has the exact layout, with a checksum
+    that matches the payload bytes."""
+    head = _entry_head(schema, key).encode("ascii")
+    body_end = len(data) - _TAIL_BYTES
+    if body_end < len(head) or not data.startswith(head):
+        raise ValueError("not an entry for this key and schema")
+    body = data[len(head):body_end]
+    checksum = hashlib.sha256(body).hexdigest()
+    if data[body_end:] != _entry_tail(checksum).encode("ascii"):
+        raise ValueError("checksum mismatch")
+    return json.loads(body.decode("utf-8"))
 
 
 def _static_loops_to_dict(loops):

@@ -79,6 +79,38 @@ class TestPDOALLSemantics:
         result = chain_kernel.evaluate("pdoall:reduc0-dep0-fn2")
         assert result.speedup == pytest.approx(1.0, abs=0.05)
 
+    def test_static_marking_reads_the_one_cutoff(self, monkeypatch):
+        # One conflicting iteration out of 11 in the first invocation, none
+        # in the second: the aggregate rate (1/22) is below the paper's 80 %
+        # but above a 1 % cut-off, which must mark the loop serial in both
+        # invocations although only cost_models is patched.
+        import repro.runtime.cost_models as cost_models
+
+        lp = Loopapalooza(
+            """
+            int A[16];
+            int run(int chain) {
+              int i;
+              for (i = 1; i < 11; i = i + 1) {
+                if (chain && i == 5) { A[i] = A[i-1] + 1; }
+                else { A[i] = i * 3; }
+              }
+              return A[10];
+            }
+            int main() { return run(1) + run(0); }
+            """,
+            "cutoff",
+        )
+        summary = lp.evaluate("pdoall:reduc0-dep0-fn2").loops["run.for.cond1"]
+        assert summary.iterations == 22
+        assert summary.conflicting_iterations == 1
+        assert summary.parallel_invocations == 2
+
+        monkeypatch.setattr(cost_models, "PDOALL_SERIAL_THRESHOLD", 0.01)
+        summary = lp.evaluate("pdoall:reduc0-dep0-fn2").loops["run.for.cond1"]
+        assert summary.parallel_invocations == 0
+        assert summary.reasons == {"marked": 2}
+
     def test_dep2_unlocks_predictable_lcd(self):
         lp = Loopapalooza(
             """

@@ -214,6 +214,26 @@ class TestCodeCache:
         codegen.jit_entry(function, None, False, code_cache=cache)
         assert cache.stats.corrupt == 1
 
+    def test_non_utf8_byte_degrades_to_miss(self, tmp_path, monkeypatch):
+        """Regression: an undecodable byte used to escape ``CodeCache.load``
+        as a UnicodeDecodeError instead of counting as corruption."""
+        from repro.interp import codegen
+        from repro.runtime.profile_store import CodeCache
+
+        monkeypatch.setattr(codegen, "_CODE_MEMO", {})
+        cache = CodeCache(tmp_path / "code")
+        function = self._function()
+        codegen.jit_entry(function, None, False, code_cache=cache)
+        [path] = cache.entries()
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFE
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(codegen, "_CODE_MEMO", {})
+        cache = CodeCache(tmp_path / "code")
+        codegen.jit_entry(function, None, False, code_cache=cache)
+        assert cache.stats.corrupt == 1
+        assert cache.stats.stores == 1
+
 
 class TestDumpAndFallback:
     def test_jit_dump_writes_sources(self, tmp_path, monkeypatch):

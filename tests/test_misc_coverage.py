@@ -75,15 +75,6 @@ class TestEvaluateMany:
         for result in results.values():
             assert result.speedup >= 1.0
 
-    def test_evaluate_all_shares_cache(self, doall_kernel):
-        from repro.core import evaluate_all, paper_configurations
-
-        profile = doall_kernel.profile()
-        results = evaluate_all(
-            profile, doall_kernel.static_info, paper_configurations()
-        )
-        assert len(results) == 14
-
 
 class TestFigureHelpers:
     def test_figure4_runs_on_shared_runner(self, runner):

@@ -53,12 +53,11 @@ def test_round_trip_bit_identical_for_every_config(source, store):
     for config in paper_configurations():
         measured = cold.evaluate(config)
         cached = warm.evaluate(config)
-        # Exact float equality: serving from the cache must not change a
-        # single bit of any reported number.
-        assert cached.speedup == measured.speedup, config.name
-        assert cached.coverage == measured.coverage, config.name
-        assert cached.total_serial == measured.total_serial, config.name
-        assert cached.total_parallel == measured.total_parallel, config.name
+        # Serving from the cache must not change a single byte of the
+        # result, dict order included -- although a loaded profile holds
+        # its conflict pairs sorted and a recorded one in event order.
+        assert json.dumps(cached.to_dict()) == json.dumps(measured.to_dict()), \
+            config.name
 
 
 def test_round_trip_preserves_output_and_total_cost(source, store):
@@ -139,6 +138,55 @@ def test_checksum_mismatch_detected(source, store):
     assert not warm.profiled_from_cache
     assert store.stats.corrupt == 1
     assert store.entries(), "entry is rewritten after the fallback"
+
+
+def test_non_utf8_byte_is_corruption(source, store):
+    """Regression: a byte that does not decode used to escape the guarded
+    block as a UnicodeDecodeError and crash the run."""
+    _fresh(source, store).profile()
+    [path] = store.entries()
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
+
+    warm = _fresh(source, store)
+    warm.profile()
+    assert not warm.profiled_from_cache
+    assert store.stats.corrupt == 1
+    assert store.stats.stores == 2
+
+
+def test_payload_edit_that_parses_the_same_is_rejected(source, store):
+    """The checksum covers the stored payload bytes, not the parsed value:
+    one added space still parses to the same payload, yet it is corrupt."""
+    _fresh(source, store).profile()
+    [path] = store.entries()
+    data = path.read_bytes()
+    head = data.index(b'"payload": ') + len(b'"payload": ')
+    comma = data.index(b",", head)
+    edited = data[:comma + 1] + b" " + data[comma + 1:]
+    assert json.loads(edited)["payload"] == json.loads(data)["payload"]
+    path.write_bytes(edited)
+
+    warm = _fresh(source, store)
+    warm.profile()
+    assert not warm.profiled_from_cache
+    assert store.stats.corrupt == 1
+
+
+def test_entry_under_another_key_is_rejected(source, store):
+    """An intact entry copied to another key's path (here: a different
+    fuel budget) must not serve that key."""
+    _fresh(source, store).profile()
+    [path] = store.entries()
+    other = store.root / f"{store.cache_key(source, FUEL + 1)}.json"
+    other.write_bytes(path.read_bytes())
+
+    relearn = Loopapalooza(source, name=BENCH, fuel=FUEL + 1, store=store)
+    relearn.profile()
+    assert not relearn.profiled_from_cache
+    assert store.stats.corrupt == 1
+    assert store.stats.hits == 0
 
 
 def test_clear_and_info(source, store):
