@@ -1,18 +1,13 @@
-"""Loop-throughput kernels: the Fig. 3 numeric benchmarks' DOALL loops,
-isolated.
+"""Loop kernels: the Fig. 3 numeric benchmarks' DOALL loops, isolated.
 
-Whole-program tier timings are dominated by the loops the vector tier
-*cannot* take (tracked reductions, loop-carried dependences), so they
-measure Amdahl's law, not kernel throughput. Each kernel here is one
-innermost DOALL loop pattern lifted from a numeric-suite benchmark —
-same body shape, same intrinsics — widened until the loop is >99% of the
-program's dynamic instructions. ``repro bench --tiers ... --loops`` times
-these per backend; the vec-vs-jit geomean over this suite is the
-"vector tier throughput on Fig. 3 numeric loops" number.
+Each kernel here is one innermost DOALL loop pattern lifted from a
+numeric-suite benchmark — same body shape, same intrinsics — widened
+until the loop is >99% of the program's dynamic instructions. They are
+inputs for the vector tier's tests.
 
 Every kernel must vectorize (plan status "vectorized"), which
-tests/test_veccodegen.py enforces, so the suite cannot silently decay
-into measuring scalar loops against scalar loops.
+tests/test_veccodegen.py enforces, so the kernels keep exercising the
+vector path.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ def _program(body, decls, step="i = i + 1", trip=TRIP):
 
 
 def loop_kernels():
-    """The loop-throughput suite, in a stable order."""
+    """The loop kernels, in a stable order."""
     n = TRIP
     return [
         LoopKernel(

@@ -33,7 +33,7 @@ import time
 from ..core.config import LPConfig
 from ..core.framework import Loopapalooza
 from ..errors import FrameworkError
-from ..runtime.profile_store import ProfileStore, default_store
+from ..runtime.profile_store import default_store
 from .programs import eembc, specfp2000, specfp2006, specint2000, specint2006
 
 NON_NUMERIC_SUITES = ("specint2000", "specint2006")
@@ -84,19 +84,17 @@ def _as_config(config):
 class SuiteRunner:
     """Compiles, profiles, and evaluates benchmarks with caching.
 
-    ``cache_dir`` selects a profile-store location; by default the shared
-    store under ``~/.cache/repro/profiles`` is used (``store=False``
-    disables persistence, ``store=<ProfileStore>`` injects one).
+    By default profiles persist in the shared store (``REPRO_CACHE_DIR``,
+    else ``~/.cache/repro/profiles``); ``store=<ProfileStore>`` injects
+    another one and ``store=False`` turns persistence off.
     """
 
-    def __init__(self, fuel=50_000_000, cache_dir=None, store=None):
+    def __init__(self, fuel=50_000_000, store=None):
         self.fuel = fuel
         if store is False:
             self.store = None
         elif store is not None:
             self.store = store
-        elif cache_dir is not None:
-            self.store = ProfileStore(cache_dir)
         else:
             self.store = default_store()
         self._instances = {}

@@ -35,22 +35,20 @@ Commands:
 * ``figures``         — the full paper run: Table I and the crosscheck,
   transform and advisor reports, then Figures 2-5 over the bundled
   synthetic suites, checkpointing the sweep to a run ledger
-  (``--resume RUN_ID`` continues an interrupted run, ``--cache-dir``
-  relocates the profile store, ``--write-experiments-md`` also writes
-  EXPERIMENTS_MEASURED.md). Exits 1 with a ``FAIL:`` line per violation
-  if a statically proved DOALL loop or an advised-parallel loop
-  conflicted, or too few loops resolved statically. ``--suite`` instead
-  prints one suite's speedups without a ledger.
-* ``bench``           — list the bundled benchmarks; with ``--tiers
-  closure,jit,vec`` time them on each execution tier instead
-  (``--loops`` switches to the loop-throughput kernel suite, ``--json``
-  appends the speedup table to a JSON file).
+  (``--resume RUN_ID`` continues an interrupted run,
+  ``--write-experiments-md`` also writes EXPERIMENTS_MEASURED.md).
+  ``REPRO_CACHE_DIR`` places both caches. Exits 1 with a ``FAIL:`` line
+  per violation if a statically proved DOALL loop or an advised-parallel
+  loop conflicted, or too few loops resolved statically. ``--suite``
+  instead prints one suite's speedups without a ledger.
+* ``bench``           — list the bundled benchmarks.
 * ``vec-report``      — per-loop vectorizer decisions (a FILE or
   ``--bench``): which innermost loops the vector tier takes, each
   bailout's reason, and the aggregate histogram.
-* ``cache``           — inspect (``info``), wipe (``clear``), or summarize
-  (``stats``) the persistent caches: the profile store plus the JIT code
-  cache, with hit/miss tallies from the most recent recorded run.
+* ``cache``           — show (``info``), wipe (``clear``), or summarize
+  (``stats``, adding the hit/miss tallies of the most recent recorded
+  run) both persistent caches: the profile store and the JIT code cache,
+  placed by ``REPRO_CACHE_DIR``.
 * ``runs``            — inspect recorded sweep runs: ``list`` (default),
   ``show RUN_ID`` (the run manifest: tasks done and resumed, cache hits,
   outcome tallies), ``clean``. Runs are written by ``figures`` and
@@ -187,7 +185,7 @@ def _cmd_figures(args, out):
               f"{' or '.join(full_run_options)}", file=sys.stderr)
         return 2
     start = time.time()
-    runner = SuiteRunner(cache_dir=args.cache_dir)
+    runner = SuiteRunner()
     if args.suite:
         from .reporting.stats import geomean
 
@@ -243,43 +241,26 @@ def _cmd_figures(args, out):
 
 
 def _cmd_cache(args, out):
-    from .runtime.profile_store import ProfileStore, default_store
-
-    store = (
-        ProfileStore(args.cache_dir) if args.cache_dir else default_store()
-    )
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cached profile(s) from {store.root}",
-              file=out)
-        return 0
-    if args.action == "stats":
-        return _cache_stats(args, out, store)
-    info = store.info()
-    print(f"profile cache at {info['root']}", file=out)
-    print(f"  schema:  {info['schema']}", file=out)
-    print(f"  entries: {info['entries']}", file=out)
-    print(f"  size:    {info['size_bytes']} bytes", file=out)
-    return 0
-
-
-def _cache_stats(args, out, store):
-    """``repro cache stats`` — both persistent caches side by side, plus
-    the hit/miss tallies recorded by the most recent run."""
-    from .runtime.profile_store import CodeCache, default_code_cache_root
+    from .runtime.profile_store import CodeCache, ProfileStore
     from .runtime.telemetry import list_runs
 
-    code_cache = CodeCache(default_code_cache_root())
-    for label, info in (
-        ("profile store", store.info()),
-        ("code cache", code_cache.info()),
-    ):
+    stores = (("profile store", ProfileStore()), ("code cache", CodeCache()))
+    if args.action == "clear":
+        for label, store in stores:
+            print(f"removed {store.clear()} entries from the {label} at "
+                  f"{store.root}", file=out)
+        return 0
+    for label, store in stores:
+        info = store.info()
         print(f"{label} at {info['root']}", file=out)
         print(f"  schema:  {info['schema']}", file=out)
         print(f"  entries: {info['entries']}", file=out)
         print(f"  size:    {info['size_bytes']} bytes", file=out)
         if "cap" in info:
             print(f"  cap:     {info['cap']} entries", file=out)
+    if args.action == "info":
+        return 0
+    # stats: the hit/miss tallies recorded by the most recent run.
     runs = list_runs(args.runs_dir)
     if not runs:
         print("no recorded runs (hit/miss tallies appear after a sweep)",
@@ -341,50 +322,8 @@ def _cmd_calltls(args, out):
 def _cmd_bench(args, out):
     from .bench import all_programs
 
-    if not args.tiers:
-        if args.loops:
-            from .bench.loop_kernels import loop_kernels
-
-            for kernel in loop_kernels():
-                print(f"{kernel.name:20s} [{kernel.derived_from}] "
-                      f"{kernel.description}", file=out)
-            return 0
-        for program in all_programs():
-            print(f"{program.full_name:36s} {program.description}", file=out)
-        return 0
-
-    from .bench.tiers import (
-        bench_loop_kernels,
-        bench_programs,
-        bench_row,
-        format_tier_table,
-        parse_tiers,
-    )
-
-    try:
-        tiers = parse_tiers(args.tiers)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.loops:
-        result = bench_loop_kernels(tiers, repeats=args.repeats)
-    else:
-        result = bench_programs(tiers, suite=args.suite, repeats=args.repeats)
-    print(format_tier_table(result), file=out)
-    if args.json:
-        import json
-
-        row = bench_row(result, args.repeats)
-        try:
-            with open(args.json) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-        data.setdefault("tier_bench_rows", []).append(row)
-        with open(args.json, "w") as handle:
-            json.dump(data, handle, indent=2)
-            handle.write("\n")
-        print(f"appended tier_bench row to {args.json}", file=out)
+    for program in all_programs():
+        print(f"{program.full_name:36s} {program.description}", file=out)
     return 0
 
 
@@ -776,10 +715,6 @@ def build_parser():
                      "--write-experiments-md)",
             )
             sub.add_argument(
-                "--cache-dir", default=None,
-                help="profile-store directory (default: shared user cache)",
-            )
-            sub.add_argument(
                 "--resume", default=None, metavar="RUN_ID",
                 help="resume an interrupted run from its ledger "
                      "(see `repro runs`)",
@@ -807,32 +742,6 @@ def build_parser():
                 help="run-ledger directory (default: ~/.cache/repro/runs "
                      "or REPRO_RUNS_DIR)",
             )
-        if name == "bench":
-            sub.add_argument(
-                "--tiers", default=None, metavar="TIERS",
-                help="time execution tiers instead of listing benchmarks: "
-                     "a comma-separated subset of closure,jit,vec",
-            )
-            sub.add_argument(
-                "--loops", action="store_true",
-                help="use the loop-throughput kernel suite (isolated "
-                     "proved-DOALL loops from the Fig. 3 numeric "
-                     "benchmarks) instead of whole programs",
-            )
-            sub.add_argument(
-                "--suite", default=None,
-                help="restrict whole-program timing to one suite",
-            )
-            sub.add_argument(
-                "--repeats", type=int, default=3,
-                help="repetitions per (benchmark, tier); best time wins "
-                     "(default: 3)",
-            )
-            sub.add_argument(
-                "--json", default=None, metavar="PATH",
-                help="append the result as a tier_bench row to this JSON "
-                     "file (a {\"tier_bench_rows\": [...]} object)",
-            )
         if name == "vec-report":
             sub.add_argument("file", nargs="?", default=None,
                              help="MiniC source file")
@@ -844,12 +753,9 @@ def build_parser():
         if name == "cache":
             sub.add_argument(
                 "action", choices=("info", "clear", "stats"), nargs="?",
-                default="info", help="inspect or wipe the profile store, or "
-                "summarize both caches with the last run's hit/miss tallies",
-            )
-            sub.add_argument(
-                "--cache-dir", default=None,
-                help="profile-store directory (default: shared user cache)",
+                default="info", help="show or wipe both caches (the profile "
+                "store and the code cache, placed by REPRO_CACHE_DIR); "
+                "`stats` adds the last run's hit/miss tallies",
             )
             sub.add_argument(
                 "--runs-dir", default=None,

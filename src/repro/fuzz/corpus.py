@@ -31,6 +31,8 @@ import os
 import pathlib
 import time
 
+from ..errors import ReproError
+from ..runtime.profile_store import publish
 from .harness import run_oracles
 
 CORPUS_SCHEMA = 1
@@ -114,17 +116,16 @@ class QuarantineCase:
 
 
 def store_case(case, root=None):
-    """Write one case to the corpus; returns the path written."""
-    directory = corpus_root(root)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{case.case_id}.json"
-    path.write_text(json.dumps(case.to_dict(), indent=1, sort_keys=True)
-                    + "\n")
+    """Write one case to the corpus (atomically, so a killed campaign
+    leaves the old entry or the new one); returns the path written."""
+    path = corpus_root(root) / f"{case.case_id}.json"
+    publish(path, json.dumps(case.to_dict(), indent=1, sort_keys=True) + "\n")
     return path
 
 
 def load_cases(root=None):
-    """Every readable case in the corpus, sorted by case id."""
+    """Every case in the corpus, sorted by case id; a missing directory
+    is an empty corpus. Raises :class:`ReproError` for a damaged entry."""
     directory = corpus_root(root)
     cases = []
     try:
@@ -139,7 +140,8 @@ def load_cases(root=None):
 
 
 def load_case(name, root=None):
-    """One case by id, filename, or path; ``None`` when absent."""
+    """One case by id, filename, or path; ``None`` when absent. Raises
+    :class:`ReproError` for a damaged entry."""
     candidate = pathlib.Path(name)
     if candidate.is_file():
         return _load_path(candidate)
@@ -150,12 +152,15 @@ def load_case(name, root=None):
 
 def _load_path(path):
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
+        data = path.read_bytes()
+    except FileNotFoundError:
         return None
-    if not isinstance(data, dict) or "source" not in data:
-        return None
-    return QuarantineCase.from_dict(data)
+    try:
+        return QuarantineCase.from_dict(json.loads(data))
+    except (ValueError, KeyError, TypeError) as error:
+        raise ReproError(
+            f"damaged quarantine case {path}: {type(error).__name__}: {error}"
+        ) from None
 
 
 def replay_case(case, fuel=None):

@@ -38,7 +38,6 @@ import time
 
 from ..core.framework import Loopapalooza
 from ..errors import ReproError, VerificationError
-from ..analysis.depend import VERDICT_DOALL
 from ..interp.interpreter import Interpreter
 from ..reporting.crosscheck import crosscheck_program
 from ..runtime.recorder import ProfilingRuntime
@@ -49,10 +48,8 @@ from .genprog import generate_program, render
 BACKENDS = ("closure", "jit", "vec")
 
 #: Oracle names in checking order. ``execution`` is the pseudo-oracle for
-#: runtime faults in generated programs; ``nest`` validates outer-loop
-#: STATIC_DOALL claims (loops with subloops) against the conflict log.
-ORACLES = ("verifier", "backends", "transforms", "crosscheck", "nest",
-           "execution")
+#: runtime faults in generated programs.
+ORACLES = ("verifier", "backends", "transforms", "crosscheck", "execution")
 
 #: Default fuel for oracle runs — generated programs stay well under 10^5
 #: dynamic instructions, so hitting this means a runaway loop.
@@ -108,7 +105,7 @@ def _mode(transform):
 def _profile_key(lp, backend):
     """(serialized-profile, result, output) of ``lp``'s module run on
     ``backend`` — the byte-equality triple. ``lp``'s own backend gives its
-    cached profile, which the crosscheck and nest oracles then read."""
+    cached profile, which the crosscheck oracle then reads."""
     if backend == lp.backend:
         profile, output = lp.profile(), lp.output
     else:
@@ -157,8 +154,7 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
                 f"(transform={_mode(transform)}): {error}",
             ))
     if failures:
-        for oracle in ("backends", "transforms", "crosscheck", "nest",
-                       "execution"):
+        for oracle in ("backends", "transforms", "crosscheck", "execution"):
             checks[oracle] = "skipped"
         return OracleReport(name, failures, checks,
                             time.perf_counter() - started)
@@ -177,8 +173,7 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
                     f"{backend}/transform={_mode(transform)}: "
                     f"{type(error).__name__}: {error}",
                 ))
-                for oracle in ("backends", "transforms", "crosscheck",
-                               "nest"):
+                for oracle in ("backends", "transforms", "crosscheck"):
                     checks[oracle] = "skipped"
                 return OracleReport(name, failures, checks,
                                     time.perf_counter() - started)
@@ -207,7 +202,9 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
             f"{off[1]!r} vs {on[1]!r} with transforms on",
         ))
 
-    # Oracle 4: no unsound STATIC_DOALL, per mode.
+    # Oracle 4: no unsound STATIC_DOALL, per mode. Every loop the
+    # dependence engine classifies gets a row, outer loops of a nest
+    # included, so this also checks the nest-level proofs.
     for transform, lp in lps.items():
         rows = crosscheck_program(lp, name)
         unsound = [row for row in rows
@@ -219,36 +216,6 @@ def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
                 f"{row.loop_id} (transform={_mode(transform)}): "
                 f"{row.verdict} but {row.conflicts} dynamic conflict(s)",
             ))
-
-        # Oracle 5 (nest): outer-loop STATIC_DOALL claims specifically.
-        # The nest engine proves an outer loop DOALL only when every
-        # dependence is `=` at its level; a dynamic conflict on such a
-        # loop means a direction-vector test accepted a cross-iteration
-        # pair it should not have.
-        outer = set()
-        for loop_info in lp.static_info.loop_infos.values():
-            for loop in loop_info.all_loops():
-                if loop.subloops:
-                    outer.add(loop.loop_id)
-        dependence = lp.static_info.dependence()
-        conflicts = {}
-        for invocation in lp.profile().all_invocations():
-            conflicts[invocation.loop_id] = \
-                conflicts.get(invocation.loop_id, 0) \
-                + invocation.conflict_count
-        for loop_id in sorted(outer):
-            verdict = dependence.get(loop_id)
-            if verdict is None or verdict.verdict != VERDICT_DOALL:
-                continue
-            observed = conflicts.get(loop_id, 0)
-            if observed:
-                checks["nest"] = "fail"
-                failures.append(OracleFailure(
-                    "nest",
-                    f"outer loop {loop_id} "
-                    f"(transform={_mode(transform)}): STATIC_DOALL but "
-                    f"{observed} dynamic conflict(s) across its nest",
-                ))
 
     return OracleReport(name, failures, checks,
                         time.perf_counter() - started)

@@ -32,11 +32,11 @@ and any runtime guard failure falls through to the unmodified scalar
 path for that invocation.
 
 Generated sources are cached in-process (keyed by IR text + plan + flags)
-and on disk via :class:`repro.runtime.profile_store.CodeCache` with a
-tier tag (``jit`` vs ``vec``); set ``REPRO_JIT_DUMP=<dir>`` to dump each
-generated source for debugging. Anything the emitter cannot lower raises
-:class:`CodegenUnsupported` and the interpreter silently falls back to
-the reference interpreter for that one function.
+and on disk via :class:`repro.runtime.profile_store.CodeCache`, keyed
+with the tier (``jit`` vs ``vec``); :func:`generate_source` returns the
+text of any variant for inspection. Anything the emitter cannot lower
+raises :class:`CodegenUnsupported` and the interpreter silently falls
+back to the reference interpreter for that one function.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import pathlib
 
 from ..ir.instructions import (
     GEP,
@@ -799,20 +797,6 @@ def _base_namespace():
     return dict(_NAMESPACE_TEMPLATE)
 
 
-def _dump_source(function, instrumented, key, source):
-    directory = os.environ.get("REPRO_JIT_DUMP")
-    if not directory:
-        return
-    variant = "instr" if instrumented else "plain"
-    path = pathlib.Path(directory)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        name = f"{function.name}.{variant}.{key[:12]}.py"
-        (path / name).write_text(source)
-    except OSError:
-        pass  # debugging aid only; never break a run
-
-
 def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False):
     """Return the compiled entry ``fn(machine, args) -> result`` for one
     variant of ``function``, consulting the in-process memo and the
@@ -829,7 +813,6 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False):
     memo = _CODE_MEMO.get(key)
     if memo is not None:
         _CODE_MEMO[key] = _CODE_MEMO.pop(key)  # LRU touch
-        _dump_source(function, instrumented, key, memo[1])
         return memo[0]
 
     if code_cache is None:
@@ -837,21 +820,10 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False):
 
         code_cache = default_code_cache()
 
-    source = code_cache.load(key) if code_cache is not None else None
+    source = code_cache.load(key)
     if source is None:
         source = generate_source(function, plan, instrumented, vectorize)
-        if code_cache is not None:
-            code_cache.store(
-                key,
-                source,
-                meta={
-                    "function": function.name,
-                    "variant": "instr" if instrumented else "plain",
-                    "tier": "vec" if vectorize else "jit",
-                    "codegen_version": CODEGEN_VERSION,
-                },
-            )
-    _dump_source(function, instrumented, key, source)
+        code_cache.store(key, source)
 
     namespace = _base_namespace()
     try:

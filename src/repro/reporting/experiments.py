@@ -248,9 +248,7 @@ def _cache_stats(runner):
     stats = {}
     if runner.store is not None:
         stats["profile_store"] = runner.store.info()
-    code_cache = default_code_cache()
-    if code_cache is not None:
-        stats["code_cache"] = code_cache.info()
+    stats["code_cache"] = default_code_cache().info()
     return stats
 
 

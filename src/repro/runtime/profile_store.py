@@ -1,34 +1,34 @@
-"""Persistent profile cache — profile once, evaluate everywhere.
+"""Persistent caches — profile once, evaluate everywhere.
 
 Profiling is the expensive stage of the pipeline (an instrumented
 interpreter run over millions of dynamic IR instructions); evaluation is
-cheap and purely analytical. This module gives the expensive stage a
-versioned, content-addressed on-disk home so warm starts of the suite
-runner, the figure harnesses, and pytest skip re-profiling entirely.
+cheap and purely analytical. :class:`ProfileStore` gives the expensive
+stage a versioned, content-addressed on-disk home, so warm starts of the
+suite runner, ``repro figures`` and pytest skip re-profiling entirely;
+:class:`CodeCache` does the same for the JIT's generated sources. Both
+share one entry format, one read path, one atomic :func:`publish`, one
+set of maintenance calls and one counter type (:class:`StoreStats`).
 
-Cache key
----------
+An entry is one file ``<key>.json`` holding exactly
+``{"schema": S, "key": K, "payload": <payload JSON>, "checksum": H}``,
+with ``H`` the sha256 of the payload bytes as stored. A load checks that
+layout for its own key and schema and verifies the checksum before it
+parses the payload. Anything else (truncation, an undecodable byte, any
+edit of the payload, an entry copied under another key's name, schema
+drift, a payload field that does not decode) is corruption: the entry is
+counted, deleted and reported as a miss, and the caller's recompute
+rewrites it.
 
-``sha256(cache_schema | profile_format | instrumentation_version |
-fuel | inline | source)`` — any change to the benchmark source, the fuel
-budget, the inlining mode, the serialized profile layout, or the
-instrumentation planner invalidates the entry. Bump
-:data:`PROFILE_CACHE_SCHEMA` whenever the *payload* layout changes (the
-other two versions live with the code they describe:
-``repro.runtime.serialize.FORMAT_VERSION`` and
-``repro.core.instrument.INSTRUMENTATION_VERSION``).
+A profile entry is keyed by ``sha256(cache_schema | profile_format |
+instrumentation_version | fuel | inline | transform | source)``. Bump
+:data:`PROFILE_CACHE_SCHEMA` whenever the payload layout changes; the
+other two versions live with the code they describe
+(``serialize.FORMAT_VERSION``, ``core.instrument.INSTRUMENTATION_VERSION``).
+Code-cache keys come from :func:`repro.interp.codegen.jit_cache_key`.
 
-Entries are single JSON files named ``<key>.json`` holding the serialized
-:class:`~repro.runtime.profile.ProgramProfile`, the static loop
-classification, the program output, and a sha256 checksum of the stored
-payload bytes. Corruption (truncated writes, bit rot, undecodable bytes,
-schema drift, an entry under another key's name) is detected on load,
-before the payload is parsed, and the entry is discarded — the caller
-falls back to re-profiling and the entry is rewritten.
-
-The default location is ``~/.cache/repro/profiles`` (override with the
-``REPRO_CACHE_DIR`` environment variable; set ``REPRO_NO_PROFILE_CACHE=1``
-to disable the default store entirely, e.g. for cold-start timing runs).
+``REPRO_CACHE_DIR`` places both stores: profiles directly under it, code
+under ``<REPRO_CACHE_DIR>/code``. Unset, they live in
+``~/.cache/repro/profiles`` and ``~/.cache/repro/code``.
 """
 
 from __future__ import annotations
@@ -41,46 +41,68 @@ import tempfile
 
 from .serialize import FORMAT_VERSION, profile_from_dict, profile_to_dict
 
-#: Version of the on-disk cache payload layout (not of the profile format
-#: itself — that is ``serialize.FORMAT_VERSION``). Bumping this invalidates
-#: every existing cache entry.
+#: Version of the on-disk profile payload layout (not of the profile format
+#: itself — that is ``serialize.FORMAT_VERSION``). It is part of the key, so
+#: bumping it makes every existing entry a plain miss.
 PROFILE_CACHE_SCHEMA = 1
 
+#: Version of the code-cache entry layout. The *content* of cached sources
+#: is versioned by ``repro.interp.codegen.CODEGEN_VERSION`` (part of the
+#: key); a schema change therefore reads as corruption, once per entry.
+CODE_CACHE_SCHEMA = 2
 
-def _instrumentation_version():
-    from ..core.instrument import INSTRUMENTATION_VERSION
-
-    return INSTRUMENTATION_VERSION
+#: Default entry cap for the on-disk code cache (oldest-access eviction).
+#: Sized so a full bundled-suite sweep (48 programs x 2 variants x a few
+#: tiers) fits with headroom; long-lived fuzzing hosts stay bounded.
+CODE_CACHE_CAP_DEFAULT = 1024
 
 
 def default_cache_root():
-    """The store directory used when none is given explicitly."""
+    """The profile-store directory: ``REPRO_CACHE_DIR`` when set, else
+    ``~/.cache/repro/profiles``."""
     override = os.environ.get("REPRO_CACHE_DIR")
     if override:
         return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "repro" / "profiles"
 
 
-#: Environment values that do NOT disable the cache. Historically any
-#: non-empty value (including "0" and "false") turned caching off.
-_FALSY_ENV = frozenset({"", "0", "false", "no", "off"})
+def default_code_cache_root():
+    """The code-cache directory: ``<REPRO_CACHE_DIR>/code`` when set, else
+    ``~/.cache/repro/code`` (a sibling of the profile store)."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return pathlib.Path(override) / "code"
+    return pathlib.Path.home() / ".cache" / "repro" / "code"
 
 
-def cache_enabled():
-    """False when the user disabled the default cache via the environment.
+def publish(path, text):
+    """Atomically replace ``path`` with ``text``.
 
-    ``REPRO_NO_PROFILE_CACHE`` follows the usual boolean-env contract:
-    ``1``/``true``/``yes`` (any casing) disable the cache; unset, empty,
-    ``0``, ``false``, ``no``, and ``off`` leave it enabled.
+    The text goes to a temporary file in the same directory, which is then
+    renamed over ``path``: processes sharing a directory see the old file
+    or the new one, never a partial one. The temporary file is removed if
+    anything fails. Its name ends in ``.tmp``, so it never matches the
+    ``*.json`` globs of the stores or the fuzz corpus.
     """
-    value = os.environ.get("REPRO_NO_PROFILE_CACHE")
-    if value is None:
-        return True
-    return value.strip().lower() in _FALSY_ENV
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
-class ProfileStoreStats:
-    """Hit/miss/corruption counters for one :class:`ProfileStore`."""
+class StoreStats:
+    """Hit/miss/corruption counters for one store."""
 
     __slots__ = ("hits", "misses", "stores", "corrupt", "errors")
 
@@ -92,13 +114,7 @@ class ProfileStoreStats:
         self.errors = 0
 
     def as_dict(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "errors": self.errors,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def describe(self):
         """One-line human-readable summary for run footers."""
@@ -111,71 +127,29 @@ class ProfileStoreStats:
             parts.append(f"{self.errors} errors")
         return ", ".join(parts)
 
-    def __repr__(self):
-        return (
-            f"<ProfileStoreStats hits={self.hits} misses={self.misses} "
-            f"stores={self.stores} corrupt={self.corrupt}>"
-        )
 
+class _Store:
+    """A directory of ``<key>.json`` entries in the shared format.
 
-class CachedRun:
-    """What a warm start gets back: the profile plus everything else the
-    framework would have learned by running the program."""
-
-    __slots__ = ("profile", "static_loops", "output")
-
-    def __init__(self, profile, static_loops, output):
-        self.profile = profile
-        self.static_loops = static_loops
-        self.output = output
-
-
-class ProfileStore:
-    """Content-addressed on-disk store for execution profiles.
-
-    All methods degrade gracefully: IO or serialization failures count as
-    misses/errors and never propagate — a broken cache must never break a
-    profiling run.
+    IO failures count as misses/errors and never propagate: a broken cache
+    must never break a run.
     """
 
-    def __init__(self, root=None, schema=None):
-        self.root = pathlib.Path(root) if root is not None else default_cache_root()
-        self.schema = PROFILE_CACHE_SCHEMA if schema is None else schema
-        self.stats = ProfileStoreStats()
-
-    # -- keys -----------------------------------------------------------------
-
-    def cache_key(self, source, fuel, inline=False, transform=False):
-        """Content hash identifying one (program, profiling setup) pair.
-
-        ``transform`` is the structural-transform pipeline flag: the same
-        source profiled with and without fission/peel/fusion yields
-        different loop populations, so the entries must never collide.
-        """
-        tag = (
-            f"{self.schema}|{FORMAT_VERSION}|{_instrumentation_version()}"
-            f"|{fuel}|{int(bool(inline))}|{int(bool(transform))}|"
-        )
-        digest = hashlib.sha256()
-        digest.update(tag.encode("utf-8"))
-        digest.update(source.encode("utf-8"))
-        return digest.hexdigest()
+    def __init__(self, root, schema):
+        self.root = pathlib.Path(root)
+        self.schema = schema
+        self.stats = StoreStats()
 
     def _path_for(self, key):
         return self.root / f"{key}.json"
 
-    # -- load -----------------------------------------------------------------
+    def _read(self, key, decode):
+        """``decode(payload)`` of ``key``'s entry, or ``None`` on a miss.
 
-    def load(self, source, fuel, inline=False, transform=False):
-        """Return a :class:`CachedRun` on a hit, else ``None``.
-
-        The entry must have the exact layout :meth:`store` writes, for this
-        path's key, and its checksum must match the payload bytes; only
-        then is the payload parsed. A corrupt entry (any layout deviation,
-        undecodable byte, checksum mismatch or bad field) is deleted and
-        reported as a miss so the caller re-profiles and overwrites it.
+        A missing file is a plain miss. Any layout, checksum, decode or
+        payload-field failure counts as corrupt (and as a miss), and the
+        entry is deleted so the caller's recompute rewrites it.
         """
-        key = self.cache_key(source, fuel, inline, transform)
         path = self._path_for(key)
         try:
             data = path.read_bytes()
@@ -183,13 +157,8 @@ class ProfileStore:
             self.stats.misses += 1
             return None
         try:
-            payload = _entry_payload(data, self.schema, key)
-            profile = profile_from_dict(payload["profile"])
-            static_loops = _static_loops_from_dict(payload["static_loops"])
-            output = list(payload["output"])
+            value = decode(_entry_payload(data, self.schema, key))
         except Exception:
-            # Anything unreadable is treated as corruption: drop the entry
-            # and fall back to re-profiling.
             self.stats.corrupt += 1
             self.stats.misses += 1
             try:
@@ -198,47 +167,15 @@ class ProfileStore:
                 pass
             return None
         self.stats.hits += 1
-        return CachedRun(profile, static_loops, output)
+        return value
 
-    # -- store ----------------------------------------------------------------
-
-    def store(self, source, fuel, profile, static_info, output, inline=False,
-              transform=False):
-        """Persist one profiling run. Failures are swallowed (and counted):
-        caching is an optimization, never a correctness dependency."""
-        key = self.cache_key(source, fuel, inline, transform)
-        payload = {
-            "profile": profile_to_dict(profile),
-            "static_loops": _static_loops_to_dict(static_info.loops),
-            "output": list(output),
-        }
-        # Serialize the (large) payload exactly once, in canonical form, and
-        # reuse the text for both the checksum and the entry body.  json.dump
-        # would stream through the pure-Python encoder; json.dumps uses the C
-        # one, which is the difference between seconds and milliseconds on a
-        # multi-megabyte profile.
-        payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    def _write(self, key, payload_json):
+        """Publish ``payload_json`` (the payload's JSON text) as ``key``'s
+        entry; returns False, counting an error, if the write fails."""
         checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
-        entry_text = (
-            _entry_head(self.schema, key) + payload_json + _entry_tail(checksum)
-        )
+        text = _entry_head(self.schema, key) + payload_json + _entry_tail(checksum)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: processes sharing a cache may store the same
-            # entry; the rename makes readers see old-or-new, never partial.
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(entry_text)
-                os.replace(tmp_name, self._path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            publish(self._path_for(key), text)
         except Exception:
             self.stats.errors += 1
             return False
@@ -248,7 +185,7 @@ class ProfileStore:
     # -- maintenance -----------------------------------------------------------
 
     def entries(self):
-        """Paths of all cache entries currently on disk."""
+        """Paths of all entries currently on disk."""
         try:
             return sorted(self.root.glob("*.json"))
         except OSError:
@@ -275,7 +212,8 @@ class ProfileStore:
         return removed
 
     def info(self):
-        """Human-oriented summary used by ``repro cache info``."""
+        """On-disk state plus this process's counters, for ``repro cache``
+        and run manifests."""
         entries = self.entries()
         return {
             "root": str(self.root),
@@ -286,135 +224,124 @@ class ProfileStore:
         }
 
     def __repr__(self):
-        return f"<ProfileStore {self.root} ({len(self.entries())} entries)>"
+        return f"<{type(self).__name__} {self.root} ({len(self.entries())} entries)>"
 
 
-_DEFAULT_STORE = None
+class CachedRun:
+    """What a warm start gets back: the profile plus everything else the
+    framework would have learned by running the program."""
+
+    __slots__ = ("profile", "static_loops", "output")
+
+    def __init__(self, profile, static_loops, output):
+        self.profile = profile
+        self.static_loops = static_loops
+        self.output = output
 
 
-def default_store():
-    """Process-wide shared store at the default location, or ``None`` when
-    disabled via ``REPRO_NO_PROFILE_CACHE``."""
-    global _DEFAULT_STORE
-    if not cache_enabled():
-        return None
-    if _DEFAULT_STORE is None:
-        _DEFAULT_STORE = ProfileStore()
-    return _DEFAULT_STORE
+def _cached_run(payload):
+    from ..core.static_info import loop_static_from_dict
+
+    static_loops = {loop_id: loop_static_from_dict(entry)
+                    for loop_id, entry in payload["static_loops"].items()}
+    return CachedRun(profile_from_dict(payload["profile"]), static_loops,
+                     list(payload["output"]))
 
 
-# -- code cache ----------------------------------------------------------------
+class ProfileStore(_Store):
+    """Content-addressed on-disk store for execution profiles."""
 
-#: Version of the on-disk code-cache entry layout. The *content* of cached
-#: sources is versioned separately by ``repro.interp.codegen.CODEGEN_VERSION``
-#: (part of the entry key).
-CODE_CACHE_SCHEMA = 1
+    def __init__(self, root=None, schema=None):
+        super().__init__(
+            root if root is not None else default_cache_root(),
+            PROFILE_CACHE_SCHEMA if schema is None else schema,
+        )
+
+    def cache_key(self, source, fuel, inline=False, transform=False):
+        """Content hash identifying one (program, profiling setup) pair.
+
+        ``transform`` is the structural-transform pipeline flag: the same
+        source profiled with and without fission/peel/fusion yields
+        different loop populations, so the entries must never collide.
+        """
+        from ..core.instrument import INSTRUMENTATION_VERSION
+
+        tag = (
+            f"{self.schema}|{FORMAT_VERSION}|{INSTRUMENTATION_VERSION}"
+            f"|{fuel}|{int(bool(inline))}|{int(bool(transform))}|"
+        )
+        digest = hashlib.sha256()
+        digest.update(tag.encode("utf-8"))
+        digest.update(source.encode("utf-8"))
+        return digest.hexdigest()
+
+    def load(self, source, fuel, inline=False, transform=False):
+        """Return a :class:`CachedRun` on a hit, else ``None``."""
+        return self._read(self.cache_key(source, fuel, inline, transform),
+                          _cached_run)
+
+    def store(self, source, fuel, profile, static_info, output, inline=False,
+              transform=False):
+        """Persist one profiling run. Write failures are swallowed (and
+        counted): caching is an optimization, never a correctness
+        dependency."""
+        from ..core.static_info import loop_static_to_dict
+
+        payload = {
+            "profile": profile_to_dict(profile),
+            "static_loops": {loop_id: loop_static_to_dict(s)
+                             for loop_id, s in static_info.loops.items()},
+            "output": list(output),
+        }
+        # Serialize the (large) payload exactly once, in canonical form.
+        # json.dump would stream through the pure-Python encoder; json.dumps
+        # uses the C one, which is the difference between seconds and
+        # milliseconds on a multi-megabyte profile.
+        payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return self._write(self.cache_key(source, fuel, inline, transform),
+                           payload_json)
 
 
-def default_code_cache_root():
-    """Where cached JIT sources live: ``<REPRO_CACHE_DIR>/code`` when the
-    override is set, else ``~/.cache/repro/code`` (a sibling of the
-    profile store)."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override) / "code"
-    return pathlib.Path.home() / ".cache" / "repro" / "code"
+def _source(payload):
+    if not isinstance(payload, str):
+        raise ValueError("code-cache payload is not a source string")
+    return payload
 
 
-#: Default entry cap for the on-disk code cache (oldest-access eviction).
-#: Sized so a full bundled-suite sweep (48 programs x 2 variants x a few
-#: tiers) fits with headroom; long-lived fuzzing hosts stay bounded.
-CODE_CACHE_CAP_DEFAULT = 1024
-
-
-class CodeCache:
+class CodeCache(_Store):
     """Content-addressed on-disk store for JIT-generated Python sources.
 
     Keys come from :func:`repro.interp.codegen.jit_cache_key` (IR text +
     plan + codegen version), so a warm sweep skips source generation
-    entirely and goes straight to ``compile()``. Same degradation contract
-    as :class:`ProfileStore`: IO failures count as misses/errors and never
-    propagate.
+    entirely and goes straight to ``compile()``. The payload is the source
+    as a JSON string. The store holds at most ``cap`` entries, evicting the
+    least recently used (by file mtime, refreshed on every hit).
     """
 
     def __init__(self, root=None, schema=None, cap=None):
-        self.root = (
-            pathlib.Path(root) if root is not None else default_code_cache_root()
+        super().__init__(
+            root if root is not None else default_code_cache_root(),
+            CODE_CACHE_SCHEMA if schema is None else schema,
         )
-        self.schema = CODE_CACHE_SCHEMA if schema is None else schema
-        self.stats = ProfileStoreStats()
-        #: Entry cap (LRU by file mtime).
         self.cap = CODE_CACHE_CAP_DEFAULT if cap is None else cap
         self.evictions = 0
 
-    def _path_for(self, key):
-        return self.root / f"{key}.json"
-
     def load(self, key):
-        """The cached source for ``key``, or ``None``. Corrupt entries are
-        deleted and counted, then reported as a miss."""
-        path = self._path_for(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            entry = json.loads(data.decode("utf-8"))
-            if entry.get("schema") != self.schema:
-                raise ValueError("schema mismatch")
-            source = entry["source"]
-            if not isinstance(source, str):
-                raise ValueError("bad source payload")
-            checksum = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            if entry.get("checksum") != checksum:
-                raise ValueError("checksum mismatch")
-        except Exception:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
+        """The cached source for ``key``, or ``None``."""
+        source = self._read(key, _source)
+        if source is not None:
             try:
-                path.unlink()
+                os.utime(self._path_for(key))  # LRU touch
             except OSError:
                 pass
-            return None
-        self.stats.hits += 1
-        try:
-            os.utime(path)  # LRU touch: eviction is oldest-mtime-first
-        except OSError:
-            pass
         return source
 
-    def store(self, key, source, meta=None):
-        """Persist one generated source; failures are swallowed and
-        counted (caching is never a correctness dependency)."""
-        entry = {
-            "schema": self.schema,
-            "key": key,
-            "source": source,
-            "checksum": hashlib.sha256(source.encode("utf-8")).hexdigest(),
-            "meta": dict(meta) if meta else {},
-        }
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(entry))
-                os.replace(tmp_name, self._path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            self.stats.errors += 1
-            return False
-        self.stats.stores += 1
-        self._evict_to_cap()
-        return True
+    def store(self, key, source):
+        """Persist one generated source, then evict down to the cap."""
+        stored = self._write(key, json.dumps(source))
+        if stored:
+            self._evict_to_cap()
+        return stored
 
     def _evict_to_cap(self):
         """Drop least-recently-used entries until the cap holds. Races
@@ -437,70 +364,32 @@ class CodeCache:
             except OSError:
                 pass
 
-    def entries(self):
-        try:
-            return sorted(self.root.glob("*.json"))
-        except OSError:
-            return []
-
-    def size_bytes(self):
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self):
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def info(self):
-        """Human-oriented summary used by ``repro cache info``/``stats``."""
-        entries = self.entries()
-        return {
-            "root": str(self.root),
-            "entries": len(entries),
-            "size_bytes": self.size_bytes(),
-            "schema": self.schema,
-            "cap": self.cap,
-            "evictions": self.evictions,
-            **self.stats.as_dict(),
-        }
-
-    def __repr__(self):
-        return f"<CodeCache {self.root} ({len(self.entries())} entries)>"
+        return {**super().info(), "cap": self.cap, "evictions": self.evictions}
 
 
+_DEFAULT_STORE = None
 _DEFAULT_CODE_CACHE = None
 
 
+def default_store():
+    """The process-wide profile store at :func:`default_cache_root`."""
+    global _DEFAULT_STORE
+    if _DEFAULT_STORE is None:
+        _DEFAULT_STORE = ProfileStore()
+    return _DEFAULT_STORE
+
+
 def default_code_cache():
-    """Process-wide shared code cache, or ``None`` when caching is
-    disabled via ``REPRO_NO_PROFILE_CACHE`` (one switch governs both the
-    profile store and the code cache, so cold-start timing runs stay
-    cold)."""
+    """The process-wide code cache at :func:`default_code_cache_root`."""
     global _DEFAULT_CODE_CACHE
-    if not cache_enabled():
-        return None
     if _DEFAULT_CODE_CACHE is None:
         _DEFAULT_CODE_CACHE = CodeCache()
     return _DEFAULT_CODE_CACHE
 
 
-# -- payload helpers -----------------------------------------------------------
-
-
-# A profile entry is ``_entry_head(schema, key)``, the payload's canonical
-# JSON, then ``_entry_tail(sha256 of the payload bytes)``: one JSON object,
-# written as ASCII, whose checksum covers exactly the bytes between the two.
+# -- entry layout: _entry_head(schema, key) + payload JSON + _entry_tail(sha256
+# of the payload bytes), one JSON object written as ASCII --------------------
 
 
 def _entry_head(schema, key):
@@ -529,15 +418,3 @@ def _entry_payload(data, schema, key):
     if data[body_end:] != _entry_tail(checksum).encode("ascii"):
         raise ValueError("checksum mismatch")
     return json.loads(body.decode("utf-8"))
-
-
-def _static_loops_to_dict(loops):
-    from ..core.static_info import loop_static_to_dict
-
-    return {loop_id: loop_static_to_dict(s) for loop_id, s in loops.items()}
-
-
-def _static_loops_from_dict(data):
-    from ..core.static_info import loop_static_from_dict
-
-    return {loop_id: loop_static_from_dict(entry) for loop_id, entry in data.items()}

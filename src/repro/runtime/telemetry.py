@@ -42,6 +42,8 @@ import shutil
 import time
 import uuid
 
+from .profile_store import publish
+
 #: Version of the ledger/manifest layout. Bumping it orphans old runs (they
 #: remain listable but are refused for resume).
 RUN_LEDGER_SCHEMA = 1
@@ -332,11 +334,8 @@ class RunTelemetry:
         self._write_manifest()
 
     def _write_manifest(self):
-        manifest = self.summary()
         try:
-            tmp = self.manifest_path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(manifest, indent=1))
-            os.replace(tmp, self.manifest_path)
+            publish(self.manifest_path, json.dumps(self.summary(), indent=1))
         except OSError:
             self.write_errors += 1
 

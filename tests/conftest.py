@@ -6,8 +6,6 @@ commonly-reused compiled kernels are session-scoped.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import settings
 
@@ -18,16 +16,14 @@ from repro.core.framework import Loopapalooza
 # files must not re-declare deadline/derandomize in per-test ``settings``
 # (a per-test ``max_examples`` override is fine). ``deadline=None``
 # because compile+profile examples legitimately take tens of
-# milliseconds; derandomized under CI (and by default) so the suite
-# replays the same example corpus on every run. Opt into fresh random
-# exploration locally with REPRO_HYPOTHESIS_PROFILE=repro-explore.
+# milliseconds; derandomized by default so the suite replays the same
+# example corpus on every run. Opt into fresh random exploration with
+# hypothesis's own option: ``pytest --hypothesis-profile=repro-explore``
+# (pytest loads this file before the plugin applies the option).
 settings.register_profile("repro-ci", deadline=None, derandomize=True)
 settings.register_profile("repro-explore", deadline=None,
                           derandomize=False)
-settings.load_profile(
-    "repro-ci" if os.environ.get("CI")
-    else os.environ.get("REPRO_HYPOTHESIS_PROFILE", "repro-ci")
-)
+settings.load_profile("repro-ci")
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ import os
 from repro.frontend.codegen import compile_source
 from repro.interp import codegen, veccodegen
 from repro.interp.interpreter import Interpreter
+from repro.runtime import profile_store
 from repro.runtime.profile_store import CODE_CACHE_CAP_DEFAULT, CodeCache
 
 
@@ -73,11 +74,12 @@ def _run_jit(source):
     machine.run("main")
 
 
-def test_codegen_memo_respects_cap(monkeypatch):
+def test_codegen_memo_respects_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(codegen, "_CODE_MEMO_CAP", 2)
-    # One switch governs the profile store and the disk code cache; kill
-    # both so this exercises the in-process memo only.
-    monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", "1")
+    # The memo fills whether the disk cache hits or misses; a private disk
+    # cache keeps this test's sources out of the shared one.
+    monkeypatch.setattr(profile_store, "_DEFAULT_CODE_CACHE",
+                        CodeCache(tmp_path))
     before = codegen._CODE_MEMO_STATS["evictions"]
     for salt in (101, 202, 303, 404):
         _run_jit(

@@ -107,13 +107,12 @@ class TestCLI:
         from repro.runtime.profile_store import ProfileStore
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_NO_PROFILE_CACHE", raising=False)
         monkeypatch.setattr(profile_store, "_DEFAULT_CODE_CACHE", None)
         monkeypatch.setattr(codegen, "_CODE_MEMO", {})
         Loopapalooza(DEMO, name="demo", store=ProfileStore(tmp_path)).profile()
         assert profile_store.default_code_cache().entries()
 
-        code, text = run_cli("cache", "stats", "--cache-dir", str(tmp_path),
+        code, text = run_cli("cache", "stats",
                              "--runs-dir", str(tmp_path / "runs"))
         assert code == 0
         assert f"profile store at {tmp_path}" in text
@@ -121,6 +120,37 @@ class TestCLI:
         assert "entries: 0" not in text
         for counter in ("in-process", "memo", "gather", "evict"):
             assert counter not in text
+
+    @pytest.mark.parametrize("knobs", ["none", "every"])
+    def test_cache_commands_cover_both_stores(self, tmp_path, monkeypatch,
+                                              knobs):
+        """``info`` and ``stats`` list both stores, ``clear`` empties both,
+        and no ``REPRO_*`` variable (current or retired) makes one of
+        them go missing."""
+        from repro.runtime.profile_store import CodeCache, ProfileStore
+
+        if knobs == "every":
+            for name in ("TRANSFORM", "VERIFY_PASSES", "NO_PROFILE_CACHE",
+                         "JIT_DUMP", "HYPOTHESIS_PROFILE"):
+                monkeypatch.setenv(f"REPRO_{name}", "1")
+            for name in ("RUNS_DIR", "FUZZ_CORPUS"):
+                monkeypatch.setenv(f"REPRO_{name}", str(tmp_path / name))
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        Loopapalooza(DEMO, name="demo", store=ProfileStore()).profile()
+        CodeCache().store("0" * 64, "def _jit_run(machine, args):\n    pass\n")
+
+        for action in ("info", "stats"):
+            code, text = run_cli("cache", action)
+            assert code == 0, action
+            assert f"profile store at {tmp_path}\n" in text
+            assert f"code cache at {tmp_path / 'code'}\n" in text
+            assert "entries: 0" not in text
+        code, text = run_cli("cache", "clear")
+        assert code == 0
+        assert f"from the profile store at {tmp_path}\n" in text
+        assert f"from the code cache at {tmp_path / 'code'}\n" in text
+        assert ProfileStore().entries() == CodeCache().entries() == []
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ outputs to match byte for byte.
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -33,14 +34,15 @@ def run_cli(arguments, seed, extra_env=None):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(seed)
     env["PYTHONPATH"] = REPO_SRC
-    # Keep the profile store out of the picture: both runs must agree on
-    # freshly computed results, not on a shared cache entry.
-    env["REPRO_NO_PROFILE_CACHE"] = "1"
     if extra_env:
         env.update(extra_env)
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro", *arguments],
-        capture_output=True, text=True, env=env, timeout=300)
+    # A private, empty cache per run: both runs must agree on freshly
+    # computed results, not on a shared cache entry.
+    with tempfile.TemporaryDirectory() as cache:
+        env["REPRO_CACHE_DIR"] = cache
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *arguments],
+            capture_output=True, text=True, env=env, timeout=300)
     return completed.returncode, completed.stdout
 
 

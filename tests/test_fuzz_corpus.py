@@ -9,9 +9,11 @@ construct it exercises has left the language.
 """
 
 import pathlib
+import re
 
 import pytest
 
+from repro.errors import ReproError
 from repro.fuzz.corpus import (CORPUS_SCHEMA, QuarantineCase, corpus_root,
                                load_case, load_cases, replay_case, store_case)
 from repro.fuzz.genprog import GEN_VERSION
@@ -87,12 +89,40 @@ def test_store_load_round_trip(tmp_path):
 
 
 def test_load_tolerates_junk_files(tmp_path):
+    """Files that are not entries (``*.json``) are not cases: notes, and
+    the temporary file of a write that was killed before its rename."""
     store_case(_sample_case(), tmp_path)
-    (tmp_path / "not-json.json").write_text("{ nope")
-    (tmp_path / "wrong-shape.json").write_text('{"a": 1}')
-    assert len(load_cases(tmp_path)) == 1
-    assert load_case("not-json", root=tmp_path) is None
+    (tmp_path / "README.md").write_text("# notes\n")
+    (tmp_path / ".affine-s8-backends.json.x1y2.tmp").write_text('{"sch')
+    assert [c.case_id for c in load_cases(tmp_path)] == ["affine-s7-backends"]
     assert load_case("missing-entirely", root=tmp_path) is None
+
+
+@pytest.mark.parametrize("text", ['{"schema": 1, "seed": 7, "pro',
+                                  '{"a": 1}', '[1, 2]', "\udcff"],
+                         ids=["truncated", "no-source", "not-an-object",
+                              "non-utf8"])
+def test_damaged_entry_raises_naming_the_file(tmp_path, text):
+    """A stored case that does not parse, or lacks its fields, must fail
+    loudly: skipping it would shrink the regression suite unnoticed."""
+    store_case(_sample_case(), tmp_path)
+    path = tmp_path / "affine-s8-backends.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ReproError, match=re.escape(str(path))):
+        load_cases(tmp_path)
+    with pytest.raises(ReproError, match=re.escape(str(path))):
+        load_case("affine-s8-backends", root=tmp_path)
+
+
+def test_store_replaces_an_entry_in_one_step(tmp_path):
+    """``store_case`` publishes through a temporary file and a rename: the
+    directory never holds a partial entry or a leftover temporary."""
+    first = store_case(_sample_case(), tmp_path)
+    case = _sample_case()
+    case.detail = "a newer detail"
+    assert store_case(case, tmp_path) == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+    assert load_case(first.stem, root=tmp_path).detail == "a newer detail"
 
 
 def test_corpus_root_resolution(monkeypatch, tmp_path):

@@ -19,6 +19,7 @@ from repro.analysis.depend import VERDICT_DOALL
 from repro.core.static_info import ModuleStaticInfo
 from repro.fuzz.corpus import load_case, load_cases, replay_case
 from repro.fuzz.genprog import generate_program
+from repro.frontend.codegen import compile_source
 from repro.fuzz.harness import ORACLES, fuzz_campaign, run_oracles
 from repro.interp.interpreter import Interpreter
 from repro.runtime.telemetry import RunTelemetry
@@ -95,6 +96,51 @@ def test_planted_unsound_doall_trips_crosscheck_oracle(monkeypatch):
     assert "crosscheck" in report.failed_oracles
     assert any("unsound" in f.detail or "conflict" in f.detail
                for f in report.failures if f.oracle == "crosscheck")
+
+
+#: The outer loop carries a memory dependence (A[i] reads A[i-1]); the
+#: inner loop writes disjoint elements of B.
+NEST_SOURCE = """
+int N = 12;
+int A[12];
+int B[48];
+int main() {
+  int i; int j;
+  A[0] = 1;
+  for (i = 1; i < N; i = i + 1) {
+    for (j = 0; j < 4; j = j + 1) { B[i * 4 + j] = j + i; }
+    A[i] = A[i - 1] + 1;
+  }
+  return A[11] + B[47];
+}
+"""
+
+
+def _outer_loops(static_info):
+    return {loop.loop_id
+            for loop_info in static_info.loop_infos.values()
+            for loop in loop_info.all_loops() if loop.subloops}
+
+
+def test_unsound_outer_loop_trips_crosscheck_oracle(monkeypatch):
+    """An outer loop's STATIC_DOALL claim is checked like any other: the
+    crosscheck oracle has a row for every loop, subloops or not."""
+    original = ModuleStaticInfo.dependence
+
+    def outer_doall(self):
+        table = original(self)
+        for loop_id in _outer_loops(self):
+            table[loop_id].verdict = VERDICT_DOALL
+        return table
+
+    monkeypatch.setattr(ModuleStaticInfo, "dependence", outer_doall)
+    [outer] = _outer_loops(ModuleStaticInfo(compile_source(NEST_SOURCE)))
+    report = run_oracles(NEST_SOURCE, "planted-outer-doall")
+    assert report.failed_oracles == ["crosscheck"]
+    details = [f.detail for f in report.failures]
+    assert f"{outer} (transform=off): STATIC_DOALL but 10 dynamic " \
+           f"conflict(s)" in details
+    assert all(detail.startswith(f"{outer} ") for detail in details)
 
 
 def test_broken_source_lands_in_verifier_oracle():

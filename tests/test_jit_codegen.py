@@ -236,13 +236,6 @@ class TestCodeCache:
 
 
 class TestDumpAndFallback:
-    def test_jit_dump_writes_sources(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_DUMP", str(tmp_path))
-        _run(MIXED, "jit")
-        dumped = sorted(p.name for p in tmp_path.glob("*.py"))
-        assert any(name.startswith("main.plain.") for name in dumped)
-        assert any(name.startswith("scale.plain.") for name in dumped)
-
     def test_unsupported_function_falls_back_to_closure(self):
         from repro.ir import F64, IRBuilder, Module
         from repro.ir.values import ConstantFloat

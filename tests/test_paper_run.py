@@ -79,11 +79,11 @@ class TestFiguresCli:
 
         monkeypatch.setattr(experiments, "paper_run", fake_paper_run)
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         runs = tmp_path / "runs"
         out = io.StringIO()
-        assert main(["figures", "--cache-dir", str(tmp_path / "cache"),
-                     "--runs-dir", str(runs), "--write-experiments-md"],
-                    out=out) == code
+        assert main(["figures", "--runs-dir", str(runs),
+                     "--write-experiments-md"], out=out) == code
 
         text = out.getvalue()
         for title in SECTION_TITLES:

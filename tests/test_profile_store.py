@@ -1,12 +1,15 @@
-"""Persistent profile cache: round-trip fidelity and failure fallbacks.
+"""Persistent caches: round-trip fidelity and failure fallbacks.
 
 The contract under test: a profile served from the on-disk store must be
 observationally identical to the freshly measured one — every paper
 configuration evaluates to bit-identical speedup and coverage — and any
 defect in the store (schema drift, corruption, version bumps) silently
-degrades to re-profiling, never to wrong numbers.
+degrades to re-profiling, never to wrong numbers. The profile store and
+the JIT code cache share one entry format and one read path, so one
+corruption contract is checked against both.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -14,11 +17,15 @@ import pytest
 from repro.bench import find_program
 from repro.core.config import paper_configurations
 from repro.core.framework import Loopapalooza
+from repro.frontend.codegen import compile_source
+from repro.interp import codegen
 from repro.runtime.profile_store import (
+    CODE_CACHE_SCHEMA,
     PROFILE_CACHE_SCHEMA,
+    CodeCache,
     ProfileStore,
-    cache_enabled,
     default_cache_root,
+    default_code_cache_root,
 )
 
 FUEL = 50_000_000
@@ -204,20 +211,131 @@ def test_default_root_override(monkeypatch, tmp_path):
     assert default_cache_root() == tmp_path / "elsewhere"
 
 
-class TestCacheEnabledEnv:
-    """Regression: REPRO_NO_PROFILE_CACHE=0 used to *disable* the cache
-    because any non-empty value was treated as truthy."""
+def test_one_variable_places_both_stores(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert ProfileStore().root == tmp_path
+    assert CodeCache().root == tmp_path / "code"
+    assert default_code_cache_root() == tmp_path / "code"
 
-    def test_unset_means_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_PROFILE_CACHE", raising=False)
-        assert cache_enabled()
 
-    @pytest.mark.parametrize("value", ["", "0", "false", "False", "no", "off", " 0 ", "OFF"])
-    def test_falsy_values_keep_cache_enabled(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", value)
-        assert cache_enabled()
+# -- one corruption contract for both stores -----------------------------------
 
-    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "on", "anything"])
-    def test_truthy_values_disable_cache(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", value)
-        assert not cache_enabled()
+#: Two small programs, so each store holds entries under two keys.
+SMALL = tuple(
+    "int A[32];\n"
+    "int main() { int i;\n"
+    f"  for (i = 0; i < 32; i = i + 1) {{ A[i] = i * {factor}; }}\n"
+    "  return A[31]; }\n"
+    for factor in (3, 5)
+)
+
+
+class _ProfileEntries:
+    """Profile-store entries of the two programs."""
+
+    def __init__(self, root, monkeypatch):
+        self.store = ProfileStore(root)
+
+    def recompute(self, which):
+        Loopapalooza(SMALL[which], name="small", fuel=FUEL,
+                     store=self.store).profile()
+
+    def load(self, which):
+        return self.store.load(SMALL[which], FUEL)
+
+    def path(self, which):
+        return self.store._path_for(self.store.cache_key(SMALL[which], FUEL))
+
+
+class _CodeEntries:
+    """Code-cache entries of the two programs' plain ``main``."""
+
+    def __init__(self, root, monkeypatch):
+        self.store = CodeCache(root)
+        self.monkeypatch = monkeypatch
+        self.functions = [compile_source(source).get_function("main")
+                          for source in SMALL]
+
+    def recompute(self, which):
+        # An empty in-process memo makes jit_entry consult the disk cache.
+        self.monkeypatch.setattr(codegen, "_CODE_MEMO", {})
+        codegen.jit_entry(self.functions[which], None, False,
+                          code_cache=self.store)
+
+    def load(self, which):
+        return self.store.load(self._key(which))
+
+    def path(self, which):
+        return self.store._path_for(self._key(which))
+
+    def _key(self, which):
+        return codegen.jit_cache_key(self.functions[which], None, False)
+
+
+def _truncate(entries, data):
+    return data[: len(data) // 2]
+
+
+def _non_utf8_byte(entries, data):
+    damaged = bytearray(data)
+    damaged[len(damaged) // 2] = 0xFF
+    return bytes(damaged)
+
+
+def _same_parse_edit(entries, data):
+    at = data.rindex(b', "checksum"')
+    edited = data[:at] + b" " + data[at:]
+    assert json.loads(edited) == json.loads(data)
+    return edited
+
+
+def _other_keys_entry(entries, data):
+    return entries.path(1).read_bytes()
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate, _non_utf8_byte, _same_parse_edit, _other_keys_entry,
+], ids=["truncated", "non-utf8-byte", "same-parse-edit", "other-keys-entry"])
+@pytest.mark.parametrize("kind", [_ProfileEntries, _CodeEntries],
+                         ids=["profile-store", "code-cache"])
+def test_damaged_entry_is_a_corrupt_miss_then_rewritten(
+        tmp_path, monkeypatch, kind, damage):
+    entries = kind(tmp_path, monkeypatch)
+    entries.recompute(0)
+    entries.recompute(1)
+    path = entries.path(0)
+    path.write_bytes(damage(entries, path.read_bytes()))
+    stats = entries.store.stats
+    before = stats.as_dict()
+
+    assert entries.load(0) is None
+    assert stats.corrupt == before["corrupt"] + 1
+    assert stats.misses == before["misses"] + 1
+    assert stats.hits == before["hits"]
+    assert not path.exists()
+
+    entries.recompute(0)
+    assert stats.stores == before["stores"] + 1
+    assert entries.load(0) is not None
+    assert stats.hits == before["hits"] + 1
+    assert stats.corrupt == before["corrupt"] + 1
+
+
+def test_code_cache_schema_bump_reads_as_corrupt_once(tmp_path, monkeypatch):
+    """A code-cache entry of an older layout (here the schema-1 layout,
+    with a top-level ``source``) is one corrupt miss, then regenerated;
+    the schema is not part of code-cache keys."""
+    entries = _CodeEntries(tmp_path, monkeypatch)
+    source = codegen.generate_source(entries.functions[0], None, False)
+    key = entries._key(0)
+    entries.path(0).write_text(json.dumps({
+        "schema": CODE_CACHE_SCHEMA - 1, "key": key, "source": source,
+        "checksum": hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        "meta": {},
+    }))
+
+    entries.recompute(0)
+    assert entries.store.stats.corrupt == 1
+    assert entries.store.stats.stores == 1
+    assert entries.load(0) == source
+    assert entries.store.stats.corrupt == 1

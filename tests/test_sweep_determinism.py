@@ -6,6 +6,7 @@ again by the same runner.
 """
 
 from repro.bench.suites import SuiteRunner, suite_programs
+from repro.runtime.profile_store import ProfileStore
 
 CONFIGS = (
     "doall:reduc1-dep0-fn0",
@@ -20,7 +21,7 @@ def _programs():
 
 def test_evaluate_many_memoizes(tmp_path):
     programs = _programs()[:2]
-    runner = SuiteRunner(cache_dir=tmp_path / "memo")
+    runner = SuiteRunner(store=ProfileStore(tmp_path / "memo"))
     first = runner.evaluate_many(programs, CONFIGS)
     second = runner.evaluate_many(programs, CONFIGS)
     # Every cell was already memoized in-process: the second sweep
@@ -32,7 +33,7 @@ def test_evaluate_many_memoizes(tmp_path):
 
 def test_grid_order_follows_input_order(tmp_path):
     programs = list(reversed(_programs()))
-    runner = SuiteRunner(cache_dir=tmp_path / "order")
+    runner = SuiteRunner(store=ProfileStore(tmp_path / "order"))
     grid = runner.evaluate_many(programs, CONFIGS)
     assert list(grid) == [program.full_name for program in programs]
     for row in grid.values():

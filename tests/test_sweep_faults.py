@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.bench.suites import SuiteRunner, suite_programs
+from repro.runtime.profile_store import ProfileStore
 from repro.runtime.telemetry import RunTelemetry
 
 CONFIGS = ("doall:reduc1-dep0-fn0", "helix:reduc1-dep1-fn2")
@@ -31,14 +32,14 @@ def _flat(grid):
 
 @pytest.fixture()
 def baseline(tmp_path):
-    runner = SuiteRunner(cache_dir=tmp_path / "baseline")
+    runner = SuiteRunner(store=ProfileStore(tmp_path / "baseline"))
     return _flat(runner.evaluate_many(_programs(), CONFIGS))
 
 
 class TestLedgerResume:
     def test_resumed_sweep_restores_without_reeval(self, tmp_path, baseline):
         runs_root = tmp_path / "runs"
-        first = SuiteRunner(cache_dir=tmp_path / "shared")
+        first = SuiteRunner(store=ProfileStore(tmp_path / "shared"))
         telemetry = RunTelemetry.create(root=runs_root)
         first.evaluate_many(_programs(), CONFIGS, telemetry=telemetry)
         telemetry.finish(status="interrupted")
@@ -46,7 +47,7 @@ class TestLedgerResume:
         # A brand-new process (fresh runner, empty in-memory caches, no
         # profile store) resumes purely from the ledger.
         resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
-        second = SuiteRunner(cache_dir=tmp_path / "cold")
+        second = SuiteRunner(store=ProfileStore(tmp_path / "cold"))
         grid = second.evaluate_many(_programs(), CONFIGS, telemetry=resumed)
         resumed.finish()
         assert _flat(grid) == baseline
@@ -57,14 +58,14 @@ class TestLedgerResume:
                                                        baseline):
         runs_root = tmp_path / "runs"
         programs = _programs()
-        first = SuiteRunner(cache_dir=tmp_path / "shared")
+        first = SuiteRunner(store=ProfileStore(tmp_path / "shared"))
         telemetry = RunTelemetry.create(root=runs_root)
         # Simulate an interrupt after the first task only.
         first.evaluate_many(programs[:1], CONFIGS, telemetry=telemetry)
         telemetry.finish(status="interrupted")
 
         resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
-        second = SuiteRunner(cache_dir=tmp_path / "cold")
+        second = SuiteRunner(store=ProfileStore(tmp_path / "cold"))
         grid = second.evaluate_many(programs, CONFIGS, telemetry=resumed)
         resumed.finish()
         assert _flat(grid) == baseline
@@ -77,7 +78,7 @@ class TestLedgerResume:
         runs_root = tmp_path / "runs"
         programs = _programs()
         doomed = programs[1].full_name
-        runner = SuiteRunner(cache_dir=tmp_path / "shared")
+        runner = SuiteRunner(store=ProfileStore(tmp_path / "shared"))
         evaluate = runner.evaluate
 
         def dies_inside_second_program(program, config):
@@ -103,7 +104,7 @@ class TestLedgerResume:
         assert sorted(tasks[0]["results"]) == sorted(CONFIGS)
 
         resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
-        fresh = SuiteRunner(cache_dir=tmp_path / "cold")
+        fresh = SuiteRunner(store=ProfileStore(tmp_path / "cold"))
         grid = fresh.evaluate_many(programs, CONFIGS, telemetry=resumed)
         resumed.finish()
         assert _flat(grid) == baseline

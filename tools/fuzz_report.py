@@ -9,9 +9,11 @@ current generator (the reproducer still replays — ``source`` is stored
 verbatim — but the ``(seed, profile)`` pair will no longer regenerate
 it).
 
-Informational only: exit status is always 0. The *gate* on corpus
-entries is ``tests/test_fuzz_corpus.py``, which replays every case and
-fails while any still reproduces. Run via ``make fuzz-report``.
+Informational only: exit status is 0 unless an entry is damaged (it
+does not parse or lacks a field), which exits 1 naming the file. The
+*gate* on corpus entries is ``tests/test_fuzz_corpus.py``, which replays
+every case and fails while any still reproduces. Run via ``make
+fuzz-report``.
 """
 
 import pathlib
@@ -19,13 +21,18 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.errors import ReproError  # noqa: E402
 from repro.fuzz.corpus import corpus_root, load_cases  # noqa: E402
 from repro.fuzz.genprog import GEN_VERSION  # noqa: E402
 
 
 def main():
     root = corpus_root(sys.argv[1] if len(sys.argv) > 1 else None)
-    cases = load_cases(root)
+    try:
+        cases = load_cases(root)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(f"quarantine corpus: {root} — {len(cases)} case(s)")
     if not cases:
         print("  empty: no oracle disagreement is currently quarantined")
