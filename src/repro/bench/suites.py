@@ -1,4 +1,4 @@
-"""Suite registry, cached benchmark runner, and the resumable sweep.
+"""Suite registry, cached benchmark runner, and the sweep.
 
 Five suites mirror the paper's benchmark groups:
 
@@ -14,16 +14,17 @@ run). Three layers of caching keep it off the iteration loop:
    :class:`~repro.runtime.profile_store.ProfileStore` (keyed by source +
    fuel + schema versions), so warm starts — a second ``pytest`` run, a
    re-run of ``repro figures`` — skip re-profiling entirely;
-3. evaluation results are memoized per ``(benchmark, configuration)``, so
-   the figure harnesses never evaluate the same cell twice (Fig. 4 and
-   Fig. 5 reuse the Fig. 2/3 sweep).
+3. evaluation results are memoized per ``(benchmark, configuration)`` in
+   memory, so the figure harnesses never evaluate the same cell twice
+   (Fig. 4 and Fig. 5 reuse the Fig. 2/3 sweep). They are never written
+   to disk: figures are always computed from profiles.
 
 :meth:`SuiteRunner.evaluate_many` sweeps the (benchmark x configuration)
 grid in this process, one benchmark at a time. When a
 :class:`~repro.runtime.telemetry.RunTelemetry` is attached, every
-completed benchmark is checkpointed (with its serialized results) to the
-run's JSONL ledger, so an interrupted sweep resumes via
-``RunTelemetry.resume(run_id)`` and skips completed cells.
+completed benchmark is counted in the run manifest. A sweep that is
+killed part-way is recovered by running it again: the profiles it
+finished are already in the store.
 """
 
 from __future__ import annotations
@@ -136,19 +137,11 @@ class SuiteRunner:
         order.
 
         With ``telemetry`` (a :class:`~repro.runtime.telemetry.RunTelemetry`)
-        the sweep first restores every benchmark the run's ledger already
-        covers, then evaluates the rest one benchmark at a time and
-        checkpoints each to the ledger as soon as its configurations are
-        done, so an interrupted sweep loses at most the benchmark in
-        flight.
+        each benchmark that had configurations left to evaluate is counted
+        in the run manifest as soon as they are done.
         """
         programs = list(programs)
         configs = [_as_config(c) for c in configs]
-        if telemetry is not None:
-            telemetry.sweep_started(len(programs), len(configs))
-            self._restore_from_ledger(
-                programs, [config.name for config in configs], telemetry
-            )
         grid = {}
         for program in programs:
             full_name = program.full_name
@@ -177,23 +170,6 @@ class SuiteRunner:
                 for config in configs
             }
         return grid
-
-    def _restore_from_ledger(self, programs, config_names, telemetry):
-        """Resume support: adopt every completed task the ledger covers."""
-        for program in programs:
-            full_name = program.full_name
-            needed = [
-                name for name in config_names
-                if (full_name, name) not in self._results
-            ]
-            if not needed:
-                continue
-            restored = telemetry.completed_results(full_name, needed)
-            if restored is None:
-                continue
-            for config_name, result in restored.items():
-                self._results[(full_name, config_name)] = result
-            telemetry.task_resumed(full_name)
 
     def evaluate_suite(self, suite, config):
         """``{benchmark_name: EvaluationResult}`` for one configuration."""

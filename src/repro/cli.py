@@ -20,12 +20,13 @@ Commands:
   loop provenance (``--loops``), and optional dynamic re-verification of
   every post-transform DOALL proof (``--crosscheck``).
 * ``fuzz``            — differential fuzzing: generate seeded MiniC
-  programs (``--seed --count --profile``), run the four-way oracle on
-  each (per-stage IR verification of one compile per pipeline mode,
+  programs (``--seed --count --profile``), run every oracle on each
+  (per-stage IR verification of one compile per pipeline mode,
   byte-equality of its profiles on the reference interpreter and the
   jit/vec tiers, transform observational safety, static-DOALL
-  soundness), delta-minimize and quarantine any disagreement under
-  ``fuzz_corpus/``; ``--replay CASE`` re-runs one quarantined reproducer.
+  soundness, no runtime fault), delta-minimize and quarantine any
+  disagreement under ``fuzz_corpus/``; ``--replay CASE`` re-runs one
+  quarantined reproducer.
 * ``evaluate FILE``   — evaluate one or more configurations (``--config``,
   repeatable; defaults to the paper's 14).
 * ``diagnose FILE``   — per-loop relaxation ladder: the first configuration
@@ -34,13 +35,15 @@ Commands:
   extension): per call site, how much callee time the continuation hides.
 * ``figures``         — the full paper run: Table I and the crosscheck,
   transform and advisor reports, then Figures 2-5 over the bundled
-  synthetic suites, checkpointing the sweep to a run ledger
-  (``--resume RUN_ID`` continues an interrupted run,
-  ``--write-experiments-md`` also writes EXPERIMENTS_MEASURED.md).
-  ``REPRO_CACHE_DIR`` places both caches. Exits 1 with a ``FAIL:`` line
-  per violation if a statically proved DOALL loop or an advised-parallel
-  loop conflicted, or too few loops resolved statically. ``--suite``
-  instead prints one suite's speedups without a ledger.
+  synthetic suites, always computed from profiles and recorded in a run
+  manifest (``--write-experiments-md`` also writes
+  EXPERIMENTS_MEASURED.md). ``REPRO_CACHE_DIR`` places both caches and
+  ``REPRO_RUNS_DIR`` the run manifests. A killed run is recovered by
+  running it again: its finished profiles are in the profile store.
+  Exits 1 with a ``FAIL:`` line per violation if a statically proved
+  DOALL loop or an advised-parallel loop conflicted, or too few loops
+  resolved statically. ``--suite`` instead prints one suite's speedups
+  and records no run.
 * ``bench``           — list the bundled benchmarks.
 * ``vec-report``      — per-loop vectorizer decisions (a FILE or
   ``--bench``): which innermost loops the vector tier takes, each
@@ -49,10 +52,10 @@ Commands:
   (``stats``, adding the hit/miss tallies of the most recent recorded
   run) both persistent caches: the profile store and the JIT code cache,
   placed by ``REPRO_CACHE_DIR``.
-* ``runs``            — inspect recorded sweep runs: ``list`` (default),
-  ``show RUN_ID`` (the run manifest: tasks done and resumed, cache hits,
-  outcome tallies), ``clean``. Runs are written by ``figures`` and
-  ``fuzz``.
+* ``runs``            — inspect recorded runs: ``list`` (default),
+  ``show RUN_ID`` (the run manifest: tasks done, cache hits, outcome
+  tallies), ``clean``. Runs are written by ``figures`` and ``fuzz``, under
+  ``REPRO_RUNS_DIR``.
 """
 
 from __future__ import annotations
@@ -173,16 +176,10 @@ def _cmd_figures(args, out):
     )
     from .runtime.telemetry import RunTelemetry, format_run_summary
 
-    full_run_options = [
-        flag for flag, value in (
-            ("--resume", args.resume), ("--runs-dir", args.runs_dir),
-            ("--write-experiments-md", args.write_experiments_md),
-        ) if value
-    ]
-    if args.suite and full_run_options:
-        print(f"error: --suite prints one suite's speedups and keeps no run "
-              f"ledger, so it cannot be combined with "
-              f"{' or '.join(full_run_options)}", file=sys.stderr)
+    if args.suite and args.write_experiments_md:
+        print("error: --suite prints one suite's speedups, not the paper's "
+              "sections, so it cannot be combined with "
+              "--write-experiments-md", file=sys.stderr)
         return 2
     start = time.time()
     runner = SuiteRunner()
@@ -195,22 +192,15 @@ def _cmd_figures(args, out):
             print(f"{config.name:30s}{geomean(speedups.values()):>17.2f}x",
                   file=out)
         return 0
-    if args.resume:
-        telemetry = RunTelemetry.resume(args.resume, root=args.runs_dir)
-        print(f"resuming run {telemetry.run_id} "
-              f"(ledger covers {telemetry.ledger_tasks} tasks)", file=out)
-    else:
-        telemetry = RunTelemetry.create(root=args.runs_dir)
-        print(f"run id: {telemetry.run_id} "
-              f"(resume an interrupted run with --resume {telemetry.run_id})",
-              file=out)
+    telemetry = RunTelemetry.create()
+    print(f"run id: {telemetry.run_id}", file=out)
     print("profiling and evaluating the bundled suites...", file=out,
           flush=True)
     try:
         sections, violations = paper_run(runner, telemetry)
     except BaseException:
-        # The ledger already holds every completed task, so
-        # --resume RUN_ID picks up from here.
+        # The profiles finished so far are in the store, so running the
+        # command again measures only the rest.
         telemetry.finish(status="interrupted")
         raise
     telemetry.finish(status="unsound" if violations else "complete")
@@ -230,7 +220,7 @@ def _cmd_figures(args, out):
     print(file=out)
     print("run telemetry " + "-" * 46, file=out)
     print(format_run_summary(telemetry.summary()), file=out)
-    print(f"ledger: {telemetry.ledger_path}", file=out)
+    print(f"manifest: {telemetry.manifest_path}", file=out)
     if args.write_experiments_md:
         pathlib.Path("EXPERIMENTS_MEASURED.md").write_text(
             format_experiments_md(sections))
@@ -261,7 +251,7 @@ def _cmd_cache(args, out):
     if args.action == "info":
         return 0
     # stats: the hit/miss tallies recorded by the most recent run.
-    runs = list_runs(args.runs_dir)
+    runs = list_runs()
     if not runs:
         print("no recorded runs (hit/miss tallies appear after a sweep)",
               file=out)
@@ -289,7 +279,7 @@ def _cmd_runs(args, out):
         runs_root,
     )
 
-    root = args.runs_dir if args.runs_dir else runs_root()
+    root = runs_root()
     if args.action == "clean":
         removed = purge_runs(root)
         print(f"removed {removed} recorded run(s) from {root}", file=out)
@@ -477,8 +467,8 @@ def _cmd_transform(args, out):
 
 
 def _cmd_fuzz(args, out):
-    """Differential fuzzing: generate seeded MiniC programs, run the
-    four-way oracle on each, shrink and quarantine any disagreement."""
+    """Differential fuzzing: generate seeded MiniC programs, run every
+    oracle on each, shrink and quarantine any disagreement."""
     from .fuzz.corpus import load_case, replay_case
     from .fuzz.harness import fuzz_campaign
     from .runtime.telemetry import RunTelemetry, format_run_summary
@@ -501,7 +491,7 @@ def _cmd_fuzz(args, out):
             return 0
         return 1
 
-    telemetry = RunTelemetry.create(root=args.runs_dir)
+    telemetry = RunTelemetry.create()
     print(f"run id: {telemetry.run_id}", file=out)
     summary = fuzz_campaign(
         seed=args.seed,
@@ -696,11 +686,6 @@ def build_parser():
                 help="quarantine the original program without "
                      "delta-minimizing it first",
             )
-            sub.add_argument(
-                "--runs-dir", default=None,
-                help="run-ledger directory (default: ~/.cache/repro/runs "
-                     "or REPRO_RUNS_DIR)",
-            )
         if name == "evaluate":
             sub.add_argument(
                 "--config", action="append", default=[],
@@ -710,19 +695,8 @@ def build_parser():
         if name == "figures":
             sub.add_argument(
                 "--suite",
-                help="print one suite's geomean speedups instead (no run "
-                     "ledger, so not with --resume, --runs-dir or "
-                     "--write-experiments-md)",
-            )
-            sub.add_argument(
-                "--resume", default=None, metavar="RUN_ID",
-                help="resume an interrupted run from its ledger "
-                     "(see `repro runs`)",
-            )
-            sub.add_argument(
-                "--runs-dir", default=None,
-                help="run-ledger directory (default: ~/.cache/repro/runs "
-                     "or REPRO_RUNS_DIR)",
+                help="print one suite's geomean speedups instead (records "
+                     "no run, so not with --write-experiments-md)",
             )
             sub.add_argument(
                 "--write-experiments-md", action="store_true",
@@ -736,12 +710,9 @@ def build_parser():
                 "delete all recorded runs",
             )
             sub.add_argument("run_id", nargs="?", default=None,
-                             help="run id (for `show`)")
-            sub.add_argument(
-                "--runs-dir", default=None,
-                help="run-ledger directory (default: ~/.cache/repro/runs "
-                     "or REPRO_RUNS_DIR)",
-            )
+                             help="run id (for `show`); runs live under "
+                                  "REPRO_RUNS_DIR (default: "
+                                  "~/.cache/repro/runs)")
         if name == "vec-report":
             sub.add_argument("file", nargs="?", default=None,
                              help="MiniC source file")
@@ -755,12 +726,8 @@ def build_parser():
                 "action", choices=("info", "clear", "stats"), nargs="?",
                 default="info", help="show or wipe both caches (the profile "
                 "store and the code cache, placed by REPRO_CACHE_DIR); "
-                "`stats` adds the last run's hit/miss tallies",
-            )
-            sub.add_argument(
-                "--runs-dir", default=None,
-                help="run-ledger directory consulted by `stats` (default: "
-                     "~/.cache/repro/runs or REPRO_RUNS_DIR)",
+                "`stats` adds the hit/miss tallies of the last run under "
+                "REPRO_RUNS_DIR",
             )
     return parser
 

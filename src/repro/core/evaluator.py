@@ -44,7 +44,6 @@ from ..runtime.cost_models import (
     pdoall_cost,
     pdoall_phase_breaks,
 )
-from .config import LPConfig
 from .static_info import PHI_NONCOMPUTABLE, PHI_REDUCTION
 
 #: Outcome reasons by code. Code 0 is a parallel outcome; codes 1-5 are the
@@ -494,7 +493,7 @@ class LoopSummary:
             self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
     def to_dict(self):
-        """JSON-safe form for the run ledger; floats round-trip exactly."""
+        """JSON-safe form (builtin ints and floats only)."""
         return {
             "loop_id": self.loop_id,
             "invocations": self.invocations,
@@ -505,21 +504,6 @@ class LoopSummary:
             "conflicting_iterations": self.conflicting_iterations,
             "reasons": dict(self.reasons),
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        summary = cls(data["loop_id"])
-        summary.invocations = int(data["invocations"])
-        summary.parallel_invocations = int(data["parallel_invocations"])
-        summary.serial_cost = float(data["serial_cost"])
-        summary.parallel_cost = float(data["parallel_cost"])
-        summary.iterations = int(data["iterations"])
-        summary.conflicting_iterations = int(data["conflicting_iterations"])
-        summary.reasons = {
-            reason: int(count)
-            for reason, count in (data.get("reasons") or {}).items()
-        }
-        return summary
 
     def __repr__(self):
         return (
@@ -545,8 +529,8 @@ class EvaluationResult:
         return self.total_serial / self.total_parallel
 
     def to_dict(self):
-        """Ledger checkpoint form. JSON floats round-trip via ``repr``, so
-        a deserialized result renders byte-identical figure text."""
+        """JSON-safe form of the whole result, loop summaries included;
+        tests compare results through it."""
         return {
             "config": self.config.name,
             "total_serial": self.total_serial,
@@ -557,19 +541,6 @@ class EvaluationResult:
                 for loop_id, summary in self.loops.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            LPConfig.parse(data["config"]),
-            float(data["total_serial"]),
-            float(data["total_parallel"]),
-            float(data["coverage"]),
-            {
-                loop_id: LoopSummary.from_dict(entry)
-                for loop_id, entry in (data.get("loops") or {}).items()
-            },
-        )
 
     def __repr__(self):
         return (

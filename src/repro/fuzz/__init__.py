@@ -11,10 +11,10 @@ ones and checks the pipeline's core invariants on each:
   biased toward the constructs the analyses care about (affine and
   non-affine subscripts, reductions, loop-carried dependences at known
   distances, calls with memory effects, nested and multi-latch loops).
-* :mod:`.harness` — the four-way oracle: closure/jit/vec profiles
-  byte-identical, observable behaviour identical with transforms on vs.
-  off, every STATIC_DOALL verdict dynamically conflict-free, and
-  verifier-clean IR after every pass stage.
+* :mod:`.harness` — the differential oracle, five kinds: verifier-clean
+  IR after every pass stage, closure/jit/vec profiles byte-identical,
+  observable behaviour identical with transforms on vs. off, every
+  STATIC_DOALL verdict dynamically conflict-free, and no runtime fault.
 * :mod:`.shrink` — delta-minimizes a disagreeing program (drop
   statements and loops, simplify subscripts, halve trip counts) while
   re-checking the same oracle.

@@ -164,7 +164,7 @@ def _load_path(path):
 
 
 def replay_case(case, fuel=None):
-    """Re-run the four-way oracle on a case's minimized reproducer.
+    """Re-run every oracle on a case's minimized reproducer.
 
     Returns the fresh :class:`~repro.fuzz.harness.OracleReport`; the case
     is *fixed* when the report is ok, and still *reproduces* otherwise.

@@ -1,8 +1,9 @@
-"""The four-way differential oracle and the fuzzing campaign driver.
+"""The differential oracle and the fuzzing campaign driver.
 
 For each program the harness compiles once per pipeline mode, with the
 verifier run after every pass stage, and profiles that one module on
-every backend. It checks four agreements:
+every backend. It checks four agreements, and a fifth oracle kind,
+``execution``, catches runtime faults (the five kinds are :data:`ORACLES`):
 
 ``verifier``
     The IR is verifier-clean after *every* pass stage
@@ -27,8 +28,8 @@ An execution fault (trap, fuel exhaustion) is reported under the
 construction, so a trap is a generator or interpreter bug either way.
 
 :func:`fuzz_campaign` drives generate -> oracle -> shrink -> quarantine
-over a seed range, with per-case events recorded in the PR 2 telemetry
-ledger format (see :meth:`repro.runtime.telemetry.RunTelemetry.fuzz_case`).
+over a seed range, counting every case in the run manifest (see
+:meth:`repro.runtime.telemetry.RunTelemetry.fuzz_case`).
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _profile_key(lp, backend):
 
 
 def run_oracles(source, name="fuzz", fuel=DEFAULT_FUEL, backends=BACKENDS):
-    """Run the four-way oracle on one MiniC source; an :class:`OracleReport`.
+    """Run every oracle on one MiniC source; an :class:`OracleReport`.
 
     Compiles the program twice (transforms off and on, verifying after
     every pass stage) and profiles each module once per backend; all
@@ -300,9 +301,6 @@ def fuzz_campaign(seed=0, count=100, profile="mixed", time_budget=None,
             summary.quarantined.append(case)
         if telemetry is not None:
             telemetry.fuzz_case(
-                case_id=case.case_id if case else None,
-                seed=current,
-                profile=profile,
                 verdict="quarantined" if case else "ok",
                 oracles=report.failed_oracles,
                 wall_s=report.wall_s,

@@ -55,8 +55,8 @@ def figure2_nonnumeric(runner=None, sweep=None):
 
     Returns ``{config_name: {suite: geomean_speedup}}`` in the paper's
     presentation order. ``sweep`` is a dict whose ``telemetry`` entry (a
-    :class:`~repro.runtime.telemetry.RunTelemetry`) checkpoints the
-    underlying sweep to a run ledger; its other keys are ignored.
+    :class:`~repro.runtime.telemetry.RunTelemetry`) counts the underlying
+    sweep in a run manifest; its other keys are ignored.
     """
     return _figure_speedups(NON_NUMERIC_SUITES, runner, sweep)
 
@@ -156,12 +156,12 @@ def table1_census(runner=None, sweep=None):
 
 
 def _prefetch(runner, programs, configs, sweep=None):
-    """Checkpoint the figure's cells to the run ledger.
+    """Count the figure's cells in the run manifest.
 
     A no-op without ``sweep["telemetry"]``: the figure loops compute each
     cell on demand either way. With telemetry the cells go through
-    ``evaluate_many`` first, so every task lands in the run ledger and the
-    run is resumable; the loops then read the same memoized results.
+    ``evaluate_many`` first, so every task is counted in the run manifest;
+    the loops then read the same memoized results.
     """
     telemetry = (sweep or {}).get("telemetry")
     if telemetry is not None:
@@ -173,7 +173,7 @@ def _prefetch(runner, programs, configs, sweep=None):
 
 def paper_run(runner, telemetry):
     """Every table and figure over the bundled suites, one profile per
-    program, with the sweep checkpointed to ``telemetry``'s run ledger.
+    program, with the sweep counted in ``telemetry``'s run manifest.
 
     Returns ``(sections, violations)``: the ``(title, text)`` sections in
     print order — Table I, Static crosscheck, Transform unlock,
@@ -183,7 +183,7 @@ def paper_run(runner, telemetry):
     manifest; finishing the run is left to the caller.
     """
     sweep = {"telemetry": telemetry}
-    # Figs. 2 and 3 sweep all 14 configurations, one ledger task per
+    # Figs. 2 and 3 sweep all 14 configurations, one manifest task per
     # program; the sections after them read the memoized results.
     figures = [
         ("Figure 2", format_speedup_figure(

@@ -9,7 +9,8 @@ suite runner, ``repro figures`` and pytest skip re-profiling entirely;
 share one entry format, one read path, one atomic :func:`publish`, one
 set of maintenance calls and one counter type (:class:`StoreStats`).
 
-An entry is one file ``<key>.json`` holding exactly
+An entry is one file ``<key>.json``, where every key is a sha256 digest
+(64 lowercase hex digits), holding exactly
 ``{"schema": S, "key": K, "payload": <payload JSON>, "checksum": H}``,
 with ``H`` the sha256 of the payload bytes as stored. A load checks that
 layout for its own key and schema and verifies the checksum before it
@@ -28,7 +29,10 @@ Code-cache keys come from :func:`repro.interp.codegen.jit_cache_key`.
 
 ``REPRO_CACHE_DIR`` places both stores: profiles directly under it, code
 under ``<REPRO_CACHE_DIR>/code``. Unset, they live in
-``~/.cache/repro/profiles`` and ``~/.cache/repro/code``.
+``~/.cache/repro/profiles`` and ``~/.cache/repro/code``. A store counts,
+clears and evicts only files named like entries, so other files in the
+directory are left alone. :func:`default_store` and
+:func:`default_code_cache` read the variable on every call.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import tempfile
 
 from .serialize import FORMAT_VERSION, profile_from_dict, profile_to_dict
@@ -128,6 +133,10 @@ class StoreStats:
         return ", ".join(parts)
 
 
+#: The file name of an entry: its key, a sha256 hex digest, plus ``.json``.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+
+
 class _Store:
     """A directory of ``<key>.json`` entries in the shared format.
 
@@ -141,7 +150,13 @@ class _Store:
         self.stats = StoreStats()
 
     def _path_for(self, key):
-        return self.root / f"{key}.json"
+        """The entry path of ``key``; raises ``ValueError`` unless the key
+        is a sha256 hex digest, so every entry is one :meth:`entries`
+        sees."""
+        name = f"{key}.json"
+        if not _ENTRY_NAME.fullmatch(name):
+            raise ValueError(f"not a store key: {key!r}")
+        return self.root / name
 
     def _read(self, key, decode):
         """``decode(payload)`` of ``key``'s entry, or ``None`` on a miss.
@@ -172,10 +187,11 @@ class _Store:
     def _write(self, key, payload_json):
         """Publish ``payload_json`` (the payload's JSON text) as ``key``'s
         entry; returns False, counting an error, if the write fails."""
+        path = self._path_for(key)
         checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
         text = _entry_head(self.schema, key) + payload_json + _entry_tail(checksum)
         try:
-            publish(self._path_for(key), text)
+            publish(path, text)
         except Exception:
             self.stats.errors += 1
             return False
@@ -185,9 +201,11 @@ class _Store:
     # -- maintenance -----------------------------------------------------------
 
     def entries(self):
-        """Paths of all entries currently on disk."""
+        """Paths of all entries currently on disk: the files named
+        ``<64 lowercase hex digits>.json``, and nothing else."""
         try:
-            return sorted(self.root.glob("*.json"))
+            return sorted(path for path in self.root.glob("*.json")
+                          if _ENTRY_NAME.fullmatch(path.name))
         except OSError:
             return []
 
@@ -368,24 +386,28 @@ class CodeCache(_Store):
         return {**super().info(), "cap": self.cap, "evictions": self.evictions}
 
 
-_DEFAULT_STORE = None
-_DEFAULT_CODE_CACHE = None
+#: One store per (class, root), so every caller that asks for the default
+#: store of the current ``REPRO_CACHE_DIR`` shares its counters.
+_DEFAULTS = {}
+
+
+def _default(cls, root):
+    store = _DEFAULTS.get((cls, root))
+    if store is None:
+        store = _DEFAULTS[(cls, root)] = cls(root)
+    return store
 
 
 def default_store():
-    """The process-wide profile store at :func:`default_cache_root`."""
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is None:
-        _DEFAULT_STORE = ProfileStore()
-    return _DEFAULT_STORE
+    """The shared profile store at :func:`default_cache_root`, as the
+    environment reads now."""
+    return _default(ProfileStore, default_cache_root())
 
 
 def default_code_cache():
-    """The process-wide code cache at :func:`default_code_cache_root`."""
-    global _DEFAULT_CODE_CACHE
-    if _DEFAULT_CODE_CACHE is None:
-        _DEFAULT_CODE_CACHE = CodeCache()
-    return _DEFAULT_CODE_CACHE
+    """The shared code cache at :func:`default_code_cache_root`, as the
+    environment reads now."""
+    return _default(CodeCache, default_code_cache_root())
 
 
 # -- entry layout: _entry_head(schema, key) + payload JSON + _entry_tail(sha256

@@ -2,8 +2,21 @@
 
 from __future__ import annotations
 
+from repro.core.config import MODELS, LPConfig
 from repro.frontend import compile_source
 from repro.ir import I32, IRBuilder, Module
+
+
+def valid_configurations():
+    """All 72 configurations ``LPConfig`` accepts (Table II)."""
+    return [
+        LPConfig(model, reduc, dep, fn)
+        for model in MODELS
+        for reduc in (0, 1)
+        for dep in range(4)
+        for fn in range(4)
+        if model != "doall" or dep == 0
+    ]
 
 
 def build_counting_loop(trip=10):

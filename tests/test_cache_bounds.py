@@ -21,8 +21,11 @@ import os
 from repro.frontend.codegen import compile_source
 from repro.interp import codegen, veccodegen
 from repro.interp.interpreter import Interpreter
-from repro.runtime import profile_store
 from repro.runtime.profile_store import CODE_CACHE_CAP_DEFAULT, CodeCache
+
+
+#: Three store keys; keys are sha256 hex digests.
+A, B, C = ("a" * 64, "b" * 64, "c" * 64)
 
 
 def _stamp(cache, key, mtime):
@@ -32,37 +35,37 @@ def _stamp(cache, key, mtime):
 
 def test_code_cache_evicts_oldest_beyond_cap(tmp_path):
     cache = CodeCache(root=tmp_path, cap=2)
-    assert cache.store("aaa", "source a")
-    _stamp(cache, "aaa", 1_000_000)
-    assert cache.store("bbb", "source b")
-    _stamp(cache, "bbb", 1_000_100)
-    assert cache.store("ccc", "source c")  # evicts aaa (oldest mtime)
+    assert cache.store(A, "source a")
+    _stamp(cache, A, 1_000_000)
+    assert cache.store(B, "source b")
+    _stamp(cache, B, 1_000_100)
+    assert cache.store(C, "source c")  # evicts A (oldest mtime)
     assert cache.evictions == 1
-    assert cache.load("aaa") is None
-    assert cache.load("bbb") == "source b"
-    assert cache.load("ccc") == "source c"
+    assert cache.load(A) is None
+    assert cache.load(B) == "source b"
+    assert cache.load(C) == "source c"
     assert len(cache.entries()) == 2
 
 
 def test_code_cache_hit_refreshes_lru_rank(tmp_path):
     cache = CodeCache(root=tmp_path, cap=2)
-    cache.store("aaa", "source a")
-    _stamp(cache, "aaa", 1_000_000)
-    cache.store("bbb", "source b")
-    _stamp(cache, "bbb", 1_000_100)
-    assert cache.load("aaa") == "source a"  # touch: aaa is now newest
-    cache.store("ccc", "source c")
-    assert cache.load("aaa") == "source a"
-    assert cache.load("bbb") is None  # bbb was the LRU entry
+    cache.store(A, "source a")
+    _stamp(cache, A, 1_000_000)
+    cache.store(B, "source b")
+    _stamp(cache, B, 1_000_100)
+    assert cache.load(A) == "source a"  # touch: A is now newest
+    cache.store(C, "source c")
+    assert cache.load(A) == "source a"
+    assert cache.load(B) is None  # B was the LRU entry
     assert cache.evictions == 1
 
 
 def test_code_cache_info_reports_evictions(tmp_path):
     assert CodeCache(root=tmp_path).info()["cap"] == CODE_CACHE_CAP_DEFAULT
     cache = CodeCache(root=tmp_path, cap=1)
-    cache.store("aaa", "a")
-    _stamp(cache, "aaa", 1_000_000)
-    cache.store("bbb", "b")
+    cache.store(A, "a")
+    _stamp(cache, A, 1_000_000)
+    cache.store(B, "b")
     info = cache.info()
     assert info["cap"] == 1
     assert info["evictions"] == 1
@@ -78,8 +81,7 @@ def test_codegen_memo_respects_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(codegen, "_CODE_MEMO_CAP", 2)
     # The memo fills whether the disk cache hits or misses; a private disk
     # cache keeps this test's sources out of the shared one.
-    monkeypatch.setattr(profile_store, "_DEFAULT_CODE_CACHE",
-                        CodeCache(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     before = codegen._CODE_MEMO_STATS["evictions"]
     for salt in (101, 202, 303, 404):
         _run_jit(

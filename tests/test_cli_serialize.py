@@ -107,13 +107,12 @@ class TestCLI:
         from repro.runtime.profile_store import ProfileStore
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(profile_store, "_DEFAULT_CODE_CACHE", None)
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         monkeypatch.setattr(codegen, "_CODE_MEMO", {})
         Loopapalooza(DEMO, name="demo", store=ProfileStore(tmp_path)).profile()
         assert profile_store.default_code_cache().entries()
 
-        code, text = run_cli("cache", "stats",
-                             "--runs-dir", str(tmp_path / "runs"))
+        code, text = run_cli("cache", "stats")
         assert code == 0
         assert f"profile store at {tmp_path}" in text
         assert f"code cache at {tmp_path / 'code'}" in text
@@ -151,6 +150,30 @@ class TestCLI:
         assert f"from the profile store at {tmp_path}\n" in text
         assert f"from the code cache at {tmp_path / 'code'}\n" in text
         assert ProfileStore().entries() == CodeCache().entries() == []
+
+    def test_cache_commands_leave_foreign_files_alone(self, tmp_path,
+                                                      monkeypatch):
+        """Only files named like entries (a sha256 key plus ``.json``) are
+        counted and cleared; anything else in the cache directories is
+        not the cache's to delete."""
+        from repro.runtime.profile_store import CodeCache, ProfileStore
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        Loopapalooza(DEMO, name="demo", store=ProfileStore()).profile()
+        CodeCache().store("0" * 64, "def _jit_run(machine, args):\n    pass\n")
+        foreign = [tmp_path / "notes.json", tmp_path / "README",
+                   tmp_path / "code" / "notes.json"]
+        for path in foreign:
+            path.write_text("{}")
+
+        code, text = run_cli("cache", "info")
+        assert code == 0
+        assert text.count("entries: 1\n") == 2
+        code, text = run_cli("cache", "clear")
+        assert code == 0
+        assert "removed 1 entries from the profile store" in text
+        assert "removed 1 entries from the code cache" in text
+        assert all(path.read_text() == "{}" for path in foreign)
 
 
 class TestSerialization:

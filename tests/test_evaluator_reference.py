@@ -2,10 +2,10 @@
 
 ``reference_evaluator`` keeps the walk: one Python visit per invocation,
 per configuration and per static-marking round. Every result must
-serialize byte-identically, dict order included (no ``sort_keys``): the
-figures, the run ledgers and the perfbench digests all read
+serialize byte-identically, dict order included (no ``sort_keys``), through
 ``EvaluationResult.to_dict()``. Every number in it must also be a builtin
-``int`` or ``float`` — a NumPy scalar makes the run ledger drop the task.
+``int`` or ``float``, so a result always serializes (``json.dumps``
+rejects NumPy integers).
 """
 
 import json
@@ -13,24 +13,13 @@ import json
 import pytest
 
 import reference_evaluator as reference
+from helpers import valid_configurations
 from repro.bench.suites import ALL_SUITES, suite_programs
-from repro.core.config import MODELS, LPConfig, paper_configurations
+from repro.core.config import LPConfig, paper_configurations
 from repro.core.evaluator import ProfileCache, _evaluate_round, evaluate_config
 from repro.core.framework import Loopapalooza
 from repro.fuzz.genprog import generate_program
 from repro.runtime import cost_models
-
-
-def valid_configurations():
-    """All 72 configurations ``LPConfig`` accepts."""
-    return [
-        LPConfig(model, reduc, dep, fn)
-        for model in MODELS
-        for reduc in (0, 1)
-        for dep in range(4)
-        for fn in range(4)
-        if model != "doall" or dep == 0
-    ]
 
 
 def non_builtin_numbers(value, path="result"):

@@ -1,7 +1,7 @@
 """Replay the shipped quarantine corpus as a regression suite.
 
 Semantics (see ``src/repro/fuzz/corpus.py``): every entry under
-``fuzz_corpus/`` must *pass* the four-way oracle on the current
+``fuzz_corpus/`` must *pass* every oracle on the current
 pipeline. A freshly quarantined, still-broken case therefore fails CI
 until the underlying bug is fixed; after the fix, the entry stays on as
 a guard against the bug coming back. Delete an entry only when the

@@ -1,4 +1,4 @@
-"""The four-way oracle, the shrinker, and the quarantine pipeline.
+"""The differential oracle, the shrinker, and the quarantine pipeline.
 
 The interesting property — "the harness catches real miscompares" — is
 untestable against a correct pipeline, so these tests *plant* bugs:
@@ -22,7 +22,7 @@ from repro.fuzz.genprog import generate_program
 from repro.frontend.codegen import compile_source
 from repro.fuzz.harness import ORACLES, fuzz_campaign, run_oracles
 from repro.interp.interpreter import Interpreter
-from repro.runtime.telemetry import RunTelemetry
+from repro.runtime.telemetry import RunTelemetry, list_runs
 
 LCD_SOURCE = """
 int N = 64;
@@ -237,7 +237,7 @@ def test_no_shrink_quarantines_original(monkeypatch, tmp_path):
     assert case.source == case.original_source
 
 
-# -- telemetry ledger ----------------------------------------------------------
+# -- run manifest --------------------------------------------------------------
 
 
 def test_campaign_records_fuzz_cases_in_ledger(monkeypatch, tmp_path):
@@ -250,12 +250,9 @@ def test_campaign_records_fuzz_cases_in_ledger(monkeypatch, tmp_path):
                       telemetry=telemetry)
     telemetry.finish(status="quarantined")
 
-    fuzz = telemetry.summary()["fuzz"]
+    [manifest] = list_runs(runs)
+    assert manifest["status"] == "quarantined"
+    fuzz = manifest["fuzz"]
     assert fuzz["cases"] == 2
     assert fuzz["quarantined"] == 2
     assert fuzz["by_oracle"].get("backends") == 2
-
-    # The ledger replays: a resumed run sees the same tallies.
-    resumed = RunTelemetry.resume(telemetry.run_id, root=runs)
-    assert resumed.summary()["fuzz"]["cases"] == 2
-    assert resumed.summary()["fuzz"]["quarantined"] == 2

@@ -105,24 +105,23 @@ class TestFigureHelpers:
         assert "helix:reduc1-dep1-fn2" in text
         assert text.count("x") >= 14
 
-    def test_cli_figures_suite_rejects_ledger_options(self, tmp_path, capsys):
-        # --suite prints one suite's speedups and keeps no run ledger, so
-        # the options of the full run must be refused, not silently
+    def test_cli_figures_suite_rejects_ledger_options(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # --suite prints one suite's speedups and records no run, so the
+        # one option of the full run must be refused, not silently
         # ignored.
         from repro.cli import main
         import io
 
-        runs_dir = str(tmp_path / "runs")
-        for ledger_args in (
-            ["--resume", "20990101-000000-abcdef"],
-            ["--runs-dir", runs_dir],
-            ["--write-experiments-md"],
-        ):
-            out = io.StringIO()
-            code = main(["figures", "--suite", "eembc", *ledger_args], out=out)
-            captured = capsys.readouterr()
-            assert code != 0
-            assert out.getvalue() == "" and captured.out == ""
-            assert "--suite" in captured.err
-            assert ledger_args[0] in captured.err
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        code = main(["figures", "--suite", "eembc", "--write-experiments-md"],
+                    out=out)
+        captured = capsys.readouterr()
+        assert code != 0
+        assert out.getvalue() == "" and captured.out == ""
+        assert "--suite" in captured.err
+        assert "--write-experiments-md" in captured.err
         assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "EXPERIMENTS_MEASURED.md").exists()

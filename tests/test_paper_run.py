@@ -74,6 +74,7 @@ class TestFiguresCli:
     def test_exit_status_follows_the_violations(
             self, tmp_path, monkeypatch, capsys, violations, code, status):
         def fake_paper_run(runner, telemetry):
+            telemetry.task_done("suite/prog", {}, cache_hit=True)
             sections = [(title, f"<{title} text>") for title in SECTION_TITLES]
             return sections, violations
 
@@ -81,9 +82,9 @@ class TestFiguresCli:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
         out = io.StringIO()
-        assert main(["figures", "--runs-dir", str(runs),
-                     "--write-experiments-md"], out=out) == code
+        assert main(["figures", "--write-experiments-md"], out=out) == code
 
         text = out.getvalue()
         for title in SECTION_TITLES:
@@ -94,5 +95,9 @@ class TestFiguresCli:
         assert err.splitlines() == [f"FAIL: {v}" for v in violations]
         [manifest] = list_runs(runs)
         assert manifest["status"] == status
+        assert manifest["tasks_done"] == 1
+        # The manifest is the whole run record.
+        run_dir = runs / manifest["run_id"]
+        assert [path.name for path in run_dir.iterdir()] == ["manifest.json"]
         written = (tmp_path / "EXPERIMENTS_MEASURED.md").read_text()
         assert "## Figure 5\n\n```\n<Figure 5 text>\n```" in written

@@ -25,7 +25,9 @@ from repro.runtime.profile_store import (
     CodeCache,
     ProfileStore,
     default_cache_root,
+    default_code_cache,
     default_code_cache_root,
+    default_store,
 )
 
 FUEL = 50_000_000
@@ -216,6 +218,35 @@ def test_one_variable_places_both_stores(monkeypatch, tmp_path):
     assert ProfileStore().root == tmp_path
     assert CodeCache().root == tmp_path / "code"
     assert default_code_cache_root() == tmp_path / "code"
+
+
+def test_default_stores_follow_the_variable(monkeypatch, tmp_path):
+    """The default stores read ``REPRO_CACHE_DIR`` on every call, and one
+    instance per root shares its counters between callers."""
+    from repro.bench.suites import SuiteRunner
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
+    store, code = default_store(), default_code_cache()
+    assert (store.root, code.root) == (first, first / "code")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(second))
+    assert SuiteRunner().store.root == second
+    assert default_code_cache().root == second / "code"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
+    assert default_store() is store and default_code_cache() is code
+
+
+@pytest.mark.parametrize("key", ["aaa", "A" * 64, "a" * 63, "../" + "a" * 61,
+                                 "a" * 64 + ".old"])
+def test_malformed_key_is_refused(tmp_path, key):
+    """Every entry is named by a sha256 hex key, so every entry written
+    is one that ``entries``, ``clear`` and eviction see."""
+    cache = CodeCache(tmp_path)
+    with pytest.raises(ValueError, match="not a store key"):
+        cache.store(key, "source")
+    with pytest.raises(ValueError, match="not a store key"):
+        cache.load(key)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- one corruption contract for both stores -----------------------------------

@@ -1,21 +1,46 @@
-"""Interrupted sweeps resume from the run ledger.
+"""A killed sweep is recovered by running it again.
 
-The sweep runs in one process and checkpoints each benchmark to the run
-ledger as soon as all of its configurations are evaluated, so the ledger
-is the only recovery path: a sweep that dies part-way must leave exactly
-the completed benchmarks behind, and a fresh runner resuming from them
-must report the same floats as an undisturbed run.
+Nothing but profiles outlives a sweep: evaluation results stay in memory,
+and the run manifest only counts them. A sweep killed part-way therefore
+leaves its finished profiles in the content-keyed profile store, and a
+fresh runner over that store measures only the missing ones and reports
+the same floats as an undisturbed run.
 """
 
-import json
+import os
+import signal
+import subprocess
+import sys
 
-import pytest
+from repro.bench.suites import SuiteRunner, suite_programs
+from repro.runtime.profile_store import ProfileStore
+from repro.runtime.telemetry import MANIFEST_NAME, list_runs
 
+CONFIGS = ("doall:reduc1-dep0-fn0", "helix:reduc1-dep1-fn2")
+
+REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+#: A sweep over eembc[:3] that sends itself SIGKILL as soon as its second
+#: profile is stored: no handler, ``finally`` or atexit hook runs.
+KILLED_SWEEP = """
+import os, signal, sys
 from repro.bench.suites import SuiteRunner, suite_programs
 from repro.runtime.profile_store import ProfileStore
 from repro.runtime.telemetry import RunTelemetry
 
-CONFIGS = ("doall:reduc1-dep0-fn0", "helix:reduc1-dep1-fn2")
+class DiesAfterSecondStore(ProfileStore):
+    def store(self, *args, **kwargs):
+        stored = super().store(*args, **kwargs)
+        if self.stats.stores == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return stored
+
+store_root, runs_root, *configs = sys.argv[1:]
+runner = SuiteRunner(store=DiesAfterSecondStore(store_root))
+telemetry = RunTelemetry.create(root=runs_root)
+runner.evaluate_many(suite_programs("eembc")[:3], configs, telemetry=telemetry)
+telemetry.finish()
+"""
 
 
 def _programs():
@@ -30,83 +55,30 @@ def _flat(grid):
     }
 
 
-@pytest.fixture()
-def baseline(tmp_path):
-    runner = SuiteRunner(store=ProfileStore(tmp_path / "baseline"))
-    return _flat(runner.evaluate_many(_programs(), CONFIGS))
+class TestKilledRun:
+    def test_sigkilled_sweep_is_recovered_by_running_it_again(self,
+                                                              tmp_path):
+        undisturbed = SuiteRunner(store=ProfileStore(tmp_path / "baseline"))
+        baseline = _flat(undisturbed.evaluate_many(_programs(), CONFIGS))
 
+        store_root, runs_root = tmp_path / "store", tmp_path / "runs"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC,
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_SWEEP, str(store_root),
+             str(runs_root), *CONFIGS],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
 
-class TestLedgerResume:
-    def test_resumed_sweep_restores_without_reeval(self, tmp_path, baseline):
-        runs_root = tmp_path / "runs"
-        first = SuiteRunner(store=ProfileStore(tmp_path / "shared"))
-        telemetry = RunTelemetry.create(root=runs_root)
-        first.evaluate_many(_programs(), CONFIGS, telemetry=telemetry)
-        telemetry.finish(status="interrupted")
+        # The manifest was last published after the first task.
+        [manifest] = list_runs(runs_root)
+        assert manifest["status"] == "running"
+        assert manifest["tasks_done"] == 1
+        run_dir = runs_root / manifest["run_id"]
+        assert [path.name for path in run_dir.iterdir()] == [MANIFEST_NAME]
+        assert len(ProfileStore(store_root).entries()) == 2
 
-        # A brand-new process (fresh runner, empty in-memory caches, no
-        # profile store) resumes purely from the ledger.
-        resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
-        second = SuiteRunner(store=ProfileStore(tmp_path / "cold"))
-        grid = second.evaluate_many(_programs(), CONFIGS, telemetry=resumed)
-        resumed.finish()
+        fresh = SuiteRunner(store=ProfileStore(store_root))
+        grid = fresh.evaluate_many(_programs(), CONFIGS)
+        assert fresh.profiles_measured == 1
         assert _flat(grid) == baseline
-        assert resumed.resumed == len(_programs())
-        assert second.profiles_measured == 0
-
-    def test_partial_ledger_resumes_only_covered_tasks(self, tmp_path,
-                                                       baseline):
-        runs_root = tmp_path / "runs"
-        programs = _programs()
-        first = SuiteRunner(store=ProfileStore(tmp_path / "shared"))
-        telemetry = RunTelemetry.create(root=runs_root)
-        # Simulate an interrupt after the first task only.
-        first.evaluate_many(programs[:1], CONFIGS, telemetry=telemetry)
-        telemetry.finish(status="interrupted")
-
-        resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
-        second = SuiteRunner(store=ProfileStore(tmp_path / "cold"))
-        grid = second.evaluate_many(programs, CONFIGS, telemetry=resumed)
-        resumed.finish()
-        assert _flat(grid) == baseline
-        assert resumed.resumed == 1
-        # Only the uncovered benchmarks were re-profiled.
-        assert second.profiles_measured == len(programs) - 1
-
-    def test_sweep_killed_mid_run_resumes_from_ledger(self, tmp_path,
-                                                      monkeypatch, baseline):
-        runs_root = tmp_path / "runs"
-        programs = _programs()
-        doomed = programs[1].full_name
-        runner = SuiteRunner(store=ProfileStore(tmp_path / "shared"))
-        evaluate = runner.evaluate
-
-        def dies_inside_second_program(program, config):
-            # Fail on the second configuration, after the first one of the
-            # same benchmark has been evaluated, so a half-finished task
-            # exists in memory when the sweep dies.
-            if program.full_name == doomed and config.name == CONFIGS[1]:
-                raise RuntimeError("simulated interrupt")
-            return evaluate(program, config)
-
-        monkeypatch.setattr(runner, "evaluate", dies_inside_second_program)
-        telemetry = RunTelemetry.create(root=runs_root)
-        with pytest.raises(RuntimeError, match="simulated interrupt"):
-            runner.evaluate_many(programs, CONFIGS, telemetry=telemetry)
-        telemetry.finish(status="interrupted")
-
-        events = [
-            json.loads(line)
-            for line in telemetry.ledger_path.read_text().splitlines()
-        ]
-        tasks = [event for event in events if event["type"] == "task"]
-        assert [task["task"] for task in tasks] == [programs[0].full_name]
-        assert sorted(tasks[0]["results"]) == sorted(CONFIGS)
-
-        resumed = RunTelemetry.resume(telemetry.run_id, root=runs_root)
-        fresh = SuiteRunner(store=ProfileStore(tmp_path / "cold"))
-        grid = fresh.evaluate_many(programs, CONFIGS, telemetry=resumed)
-        resumed.finish()
-        assert _flat(grid) == baseline
-        assert resumed.resumed == 1
-        assert fresh.profiles_measured == len(programs) - 1

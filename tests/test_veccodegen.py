@@ -595,6 +595,7 @@ class TestVecTelemetry:
         from repro.runtime.telemetry import (
             RunTelemetry,
             format_run_summary,
+            load_manifest,
         )
 
         telemetry = RunTelemetry.create(root=tmp_path, run_id="vec-run")
@@ -602,8 +603,8 @@ class TestVecTelemetry:
         telemetry.finish()
         assert telemetry.summary()["vec_decisions"]["vectorized"] == 2
 
-        resumed = RunTelemetry.resume("vec-run", root=tmp_path)
-        assert resumed.summary()["vec_decisions"] == self._summary()
-        text = format_run_summary(resumed.summary())
+        manifest = load_manifest("vec-run", root=tmp_path)
+        assert manifest["vec_decisions"] == self._summary()
+        text = format_run_summary(manifest)
         assert "2/4 innermost loops vectorized" in text
         assert "bailout contains-call: 2" in text
