@@ -34,7 +34,7 @@ import time
 from ..core.config import LPConfig
 from ..core.framework import Loopapalooza
 from ..errors import FrameworkError
-from ..runtime.profile_store import default_store
+from ..runtime.profile_store import default_cache_root, default_store
 from .programs import eembc, specfp2000, specfp2006, specint2000, specint2006
 
 NON_NUMERIC_SUITES = ("specint2000", "specint2006")
@@ -191,12 +191,16 @@ class SuiteRunner:
         }
 
 
-_DEFAULT_RUNNER = None
+#: One runner per profile-store root, so every caller that asks for the
+#: default runner of the current ``REPRO_CACHE_DIR`` shares its profiles.
+_DEFAULT_RUNNERS = {}
 
 
 def default_runner():
-    """Process-wide shared runner (profiles are expensive; share them)."""
-    global _DEFAULT_RUNNER
-    if _DEFAULT_RUNNER is None:
-        _DEFAULT_RUNNER = SuiteRunner()
-    return _DEFAULT_RUNNER
+    """The shared runner over the default profile store of the current
+    ``REPRO_CACHE_DIR`` (profiles are expensive; share them)."""
+    root = default_cache_root()
+    runner = _DEFAULT_RUNNERS.get(root)
+    if runner is None:
+        runner = _DEFAULT_RUNNERS[root] = SuiteRunner()
+    return runner

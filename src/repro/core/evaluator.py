@@ -19,11 +19,12 @@ Producer/consumer skews were recorded against serial timestamps; when inner
 parallelism shrinks an invocation they are scaled by the invocation's
 overall shrink factor (documented approximation; see DESIGN.md).
 
-The evaluation is columnar. :class:`ProfileCache` holds the profile as
-record-ordered arrays (one record per invocation, every child before its
-parent). A leaf invocation — 99 % of them — has no children, so its
-effective costs are its raw spans and its outcome under a configuration is
-a mask over outcomes precomputed per ``(model, reduc, dep)``. Leaf costs
+The evaluation is columnar. :class:`ProfileCache` reads the profile's
+record-ordered columns (one record per invocation, every child before its
+parent) and derives the rest from them. A leaf invocation — 99 % of them
+— has no children, so its effective costs are its raw spans and its
+outcome under a configuration is a mask over outcomes precomputed per
+``(model, reduc, dep)``. Leaf costs
 are integer IR-instruction counts, so their sums and maxima are exact in
 float64 in any order. Invocations with children keep a per-record path,
 run in record order after the leaves, because their costs depend on their
@@ -58,11 +59,13 @@ _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 
 
 class ProfileCache:
-    """Record-ordered columns of one profile, shared across configurations.
+    """Evaluation columns of one profile, shared across configurations.
 
-    Records are the invocations in ``reversed(profile.all_invocations())``
-    order. The columns are built on the first evaluation, for the static
-    info it passes; per-leaf outcomes are memoized per ``(model, reduc,
+    Records are the profile's records, in its order (every child before
+    its parent). The profile's own columns are read as they are; the
+    columns derived from them, and those that depend on the static info
+    (untracked, ``fn_serial``, the register-LCD keys), are built on the
+    first evaluation. Per-leaf outcomes are memoized per ``(model, reduc,
     dep)``, since they depend neither on ``fn`` nor on the loops marked
     serial. Nothing here changes a result — only how often it is computed
     — so cold and warm-start evaluations stay bit-identical.
@@ -71,65 +74,89 @@ class ProfileCache:
     def __init__(self, profile):
         self.profile = profile
         self._static = None
+        self.costs = None  # set with the rest of the profile columns
 
     def prepare(self, static_info):
         """Build the columns for ``static_info`` unless they exist."""
         if self._static is static_info:
             return
-        invocations = self.profile.all_invocations()
-        invocations.reverse()
-        position = {id(invocation): index
-                    for index, invocation in enumerate(invocations)}
-        loop_index = {}
-        facts = []
-        loop_of = []
-        points = []
-        children = {}
-        for index, invocation in enumerate(invocations):
-            loop = loop_index.get(invocation.loop_id)
-            if loop is None:
-                loop = loop_index[invocation.loop_id] = len(facts)
-                facts.append(_loop_facts(static_info.loops.get(invocation.loop_id)))
-            loop_of.append(loop)
-            points += invocation.iter_starts
-            points.append(invocation.end_ts)
-            if invocation.children:
-                children[index] = [position[id(child)]
-                                   for child in invocation.children]
-        count = len(invocations)
+        if self.costs is None:
+            self._profile_columns()
+        self._static_columns(static_info)
+        self._flags = None
+        self._skews = {}
+        self._recorded_breaks = None
+        self._variants = {}
+        self._static = static_info
 
-        def column(values, dtype=np.int64):
-            return np.fromiter(values, dtype=dtype, count=count)
+    def _profile_columns(self):
+        """The columns that depend on the profile alone."""
+        profile = self.profile
+        count = len(profile.loop_of)
+        self.loop_ids = profile.loop_table
+        self.loop_index = {loop_id: index
+                           for index, loop_id in enumerate(self.loop_ids)}
+        self.loop_of = profile.loop_of
+        self.parent = profile.parent
+        self.parent_iter = profile.parent_iter
+        self.n = profile.n
+        self.conflict_count = profile.conflict_count
+        self.mem_skew = profile.max_mem_skew
+        self.pair_count = profile.pair_count
+        #: The flat iteration-cost array: record r owns
+        #: costs[offsets[r] : offsets[r] + n[r]] (n >= 1 by construction).
+        self.offsets = profile.start_offsets
+        starts = profile.starts
+        last = self.offsets + self.n - 1
+        spans = np.empty(len(starts), dtype=np.int64)
+        spans[:-1] = np.diff(starts)
+        spans[last] = profile.end_ts - starts[last]
+        self.costs = spans.astype(np.float64)
+        serial_cost = profile.end_ts - starts[self.offsets]
+        self.serial_cost = serial_cost.astype(np.float64)
+        #: Flat mask of each record's first iteration.
+        self.first = np.zeros(len(self.costs), dtype=bool)
+        self.first[self.offsets] = True
+        self.raw_serial = np.add.reduceat(self.costs, self.offsets)
+        self.raw_max = np.maximum.reduceat(self.costs, self.offsets)
 
-        self.invocations = invocations
-        self.loop_ids = list(loop_index)
-        self.loop_index = loop_index
-        self.loop_of = np.array(loop_of, dtype=np.int64)
-        self.parent = np.full(count, -1, dtype=np.int64)
-        for index, kids in children.items():
-            self.parent[kids] = index
-        self.parent_iter = column(inv.parent_iter for inv in invocations)
-        self.n = column(len(inv.iter_starts) for inv in invocations)
-        self.serial_cost = column(
-            (inv.serial_cost for inv in invocations), np.float64
-        )
-        self.conflict_count = column(inv.conflict_count for inv in invocations)
-        self.mem_skew = column(
-            (inv.max_mem_skew for inv in invocations), np.float64
-        )
-        self.pair_count = column(len(inv.conflict_pairs) for inv in invocations)
         leaf = np.ones(count, dtype=bool)
         leaf[self.parent[self.parent >= 0]] = False
         #: Records with children, in record order (the per-record path).
         self.parents = np.flatnonzero(~leaf).tolist()
-        #: Per parent: its children, and their savings' layers.
+        children = {}
+        parent = self.parent.tolist()
+        for kid in np.flatnonzero(self.parent >= 0)[::-1].tolist():
+            children.setdefault(parent[kid], []).append(kid)
+        #: Per parent: its children in invocation order, and their
+        #: savings' layers.
         self.children = {
             record: (np.array(kids, dtype=np.int64),
                      _saving_layers(kids, self.parent_iter, self.n[record]))
             for record, kids in children.items()
         }
 
-        # Static facts per loop, spread to its records.
+        #: Flat mask of the recorded conflict consumers (``0 < c < n``).
+        self.recorded = np.zeros(len(self.costs), dtype=bool)
+        owner = np.repeat(np.arange(count), self.pair_count)
+        consumers = profile.pair_consumer
+        inside = (consumers > 0) & (consumers < self.n[owner])
+        self.recorded[self.offsets[owner[inside]] + consumers[inside]] = True
+        self.pair_leaves = np.flatnonzero(leaf & (self.pair_count > 0)).tolist()
+
+        #: Top-level records, in profile (invocation) order.
+        self.top = np.flatnonzero(self.parent < 0)[::-1]
+        self.top_serial = serial_cost[self.top].astype(np.float64).tolist()
+        loops = len(self.loop_ids)
+        self.loop_invocations = np.bincount(self.loop_of, minlength=loops).tolist()
+        self.loop_iterations = np.bincount(
+            self.loop_of, weights=self.n, minlength=loops
+        ).astype(np.int64).tolist()
+
+    def _static_columns(self, static_info):
+        """Static facts per loop, spread to its records."""
+        facts = [_loop_facts(static_info.loops.get(loop_id))
+                 for loop_id in self.loop_ids]
         loop_untracked = np.array([fact[0] for fact in facts], dtype=bool)
         loop_fn = np.array([fact[1] for fact in facts], dtype=bool).reshape(-1, 4)
         loop_keys = np.array(
@@ -142,6 +169,7 @@ class ProfileCache:
         #: ``has_keys[reduc]``: register LCDs constrain the loop.
         self.has_keys = loop_keys.T[:, self.loop_of] > 0
         lcd_rec, lcd_phi, lcd_reduction = [], [], []
+        loop_of = self.loop_of.tolist()
         for record in np.flatnonzero(self.has_keys[0]).tolist():
             _, _, noncomputable, reductions = facts[loop_of[record]]
             for phi_key in noncomputable:
@@ -156,47 +184,6 @@ class ProfileCache:
         self.lcd_rec = np.array(lcd_rec, dtype=np.int64)
         self.lcd_phi = lcd_phi
         self.lcd_reduction = np.array(lcd_reduction, dtype=bool)
-
-        # The flat iteration-cost array: record r owns
-        # costs[offsets[r] : offsets[r] + n[r]] (n >= 1 by construction).
-        points = np.array(points, dtype=np.int64)
-        ends = np.cumsum(self.n + 1) - 1
-        self.costs = np.delete(np.diff(points), ends[:-1]).astype(np.float64)
-        self.offsets = np.cumsum(self.n) - self.n
-        #: Flat mask of each record's first iteration.
-        self.first = np.zeros(len(self.costs), dtype=bool)
-        self.first[self.offsets] = True
-        self.raw_serial = np.add.reduceat(self.costs, self.offsets)
-        self.raw_max = np.maximum.reduceat(self.costs, self.offsets)
-
-        #: Flat mask of the recorded conflict consumers (``0 < c < n``).
-        self.recorded = np.zeros(len(self.costs), dtype=bool)
-        for record in np.flatnonzero(self.pair_count).tolist():
-            consumers = np.fromiter(
-                invocations[record].conflict_pairs, dtype=np.int64,
-                count=self.pair_count[record],
-            )
-            consumers = consumers[(consumers > 0) & (consumers < self.n[record])]
-            self.recorded[self.offsets[record] + consumers] = True
-        self.pair_leaves = np.flatnonzero(leaf & (self.pair_count > 0)).tolist()
-
-        self.top = np.array(
-            [position[id(invocation)] for invocation in self.profile.top_level],
-            dtype=np.int64,
-        )
-        self.top_serial = [float(invocation.serial_cost)
-                           for invocation in self.profile.top_level]
-        loops = len(self.loop_ids)
-        self.loop_invocations = np.bincount(self.loop_of, minlength=loops).tolist()
-        self.loop_iterations = np.bincount(
-            self.loop_of, weights=self.n, minlength=loops
-        ).astype(np.int64).tolist()
-
-        self._flags = None
-        self._skews = {}
-        self._recorded_breaks = None
-        self._variants = {}
-        self._static = static_info
 
     # -- per-leaf variants ------------------------------------------------------
 
@@ -262,7 +249,7 @@ class ProfileCache:
             for record in self.pair_leaves:
                 self._mark_breaks(
                     self._recorded_breaks, record,
-                    self.invocations[record].conflict_pairs,
+                    self.profile.pairs_of(record),
                 )
         if injected is None:
             breaks = self._recorded_breaks
@@ -272,7 +259,7 @@ class ProfileCache:
                 extra = self.consumers_of(injected, record)
                 if extra:
                     pairs = _with_adjacent(
-                        self.invocations[record].conflict_pairs, extra
+                        self.profile.pairs_of(record), extra
                     )
                     self._mark_breaks(breaks, record, pairs)
         starts = np.flatnonzero(breaks | self.first)
@@ -295,25 +282,19 @@ class ProfileCache:
     def _predictor_flags(self):
         """Perfect-hybrid correctness flags per register-LCD pair."""
         if self._flags is None:
-            invocations = self.invocations
             self._flags = [
-                perfect_hybrid_flags(
-                    invocations[record].lcd_values.get(phi_key, [])
-                )
-                for record, phi_key in zip(self.lcd_rec.tolist(), self.lcd_phi)
+                perfect_hybrid_flags(values)
+                for values in self.profile.lcd_streams(
+                    "values", self.lcd_rec.tolist(), self.lcd_phi)
             ]
         return self._flags
 
     def _mispredicted(self):
         """Flat positions of mispredicted consumers (``values[i]`` feeds
         iteration ``i+1``), and whether each comes from a reduction phi."""
-        flags = self._predictor_flags()
-        lengths = np.array([len(pair_flags) for pair_flags in flags],
-                           dtype=np.int64)
-        hits = np.fromiter(itertools.chain.from_iterable(flags), dtype=bool,
-                           count=int(lengths.sum()))
+        lengths, hits = _flat_flags(self._predictor_flags())
         missed = np.flatnonzero(~hits)
-        pair = np.repeat(np.arange(len(flags)), lengths)[missed]
+        pair = np.repeat(np.arange(len(lengths)), lengths)[missed]
         consumer = missed - (np.cumsum(lengths) - lengths)[pair] + 1
         record = self.lcd_rec[pair]
         inside = consumer < self.n[record]
@@ -324,18 +305,14 @@ class ProfileCache:
         """Per-record HELIX register skew: the largest over the LCDs that
         ``reduc`` keeps, all consumers under ``dep1``, mispredicted ones
         under ``dep2``, none otherwise."""
-        reg_delta = np.zeros(len(self.invocations))
+        reg_delta = np.zeros(len(self.n))
         if dep in (1, 2):
             restricted = dep == 2
             skews = self._skews.get(restricted)
             if skews is None:
-                flags = (self._predictor_flags() if restricted
-                         else itertools.repeat(None))
-                skews = self._skews[restricted] = np.array([
-                    _register_skew(self.invocations[record], phi_key, pair_flags)
-                    for record, phi_key, pair_flags
-                    in zip(self.lcd_rec.tolist(), self.lcd_phi, flags)
-                ], dtype=np.float64)
+                skews = self._skews[restricted] = _register_skews(
+                    self.profile, self.lcd_rec, self.lcd_phi,
+                    self._predictor_flags() if restricted else None)
             kept = slice(None) if reduc == 0 else ~self.lcd_reduction
             np.maximum.at(reg_delta, self.lcd_rec[kept], skews[kept])
         return reg_delta
@@ -437,27 +414,58 @@ def _with_adjacent(pairs, consumers):
     return pairs
 
 
-def _register_skew(invocation, phi_key, flags=None):
-    """Largest producer->consumer skew of a register LCD lowered to memory.
+def _register_skews(profile, records, phi_keys, flags=None):
+    """Per register-LCD pair: the largest producer->consumer skew of the
+    LCD lowered to memory, 0.0 when none is positive.
 
-    Producer: the definition of the latch value in iteration ``i``
-    (``lcd_def_offsets``); consumer: the first use of the phi in iteration
-    ``i+1`` (``lcd_use_offsets``). Iterations without an observed use impose
-    no wait. With predictor ``flags`` (``dep2``) only mispredicted consumers
-    wait: ``flags[i]`` is False.
+    Producer: the definition of the latch value in iteration ``i`` (the
+    def-offset stream); consumer: the first use of the phi in iteration
+    ``i+1`` (the use-offset stream). Iterations without an observed use
+    (``None``) impose no wait. With predictor ``flags`` (``dep2``) only
+    mispredicted consumers wait: ``flags[i]`` is False. Offsets are
+    integer instruction counts, so the maxima are exact.
     """
-    defs = invocation.lcd_def_offsets.get(phi_key, [])
-    uses = invocation.lcd_use_offsets.get(phi_key, [])
-    best = 0.0
-    for producer, (def_off, use_off) in enumerate(zip(defs, uses[1:])):
-        if use_off is None:
-            continue
-        if flags is not None and (producer >= len(flags) or flags[producer]):
-            continue
-        skew = def_off - use_off
-        if skew > best:
-            best = float(skew)
-    return best
+    defs, uses = profile.defs, profile.uses
+    pairs = len(records)
+    def_stream = profile.stream_index("defs", records, phi_keys)
+    use_stream = profile.stream_index("uses", records, phi_keys)
+    # Producers 0 .. count-1 of each pair, flat.
+    count = np.maximum(0, np.minimum(_lengths(defs, def_stream),
+                                     _lengths(uses, use_stream) - 1))
+    pair = np.repeat(np.arange(pairs), count)
+    producer = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    def_at = defs.offsets[def_stream[pair]] + producer
+    use_at = uses.offsets[use_stream[pair]] + producer + 1
+    waits = (np.ones(len(pair), dtype=bool) if uses.missing is None
+             else ~uses.missing[use_at])
+    if flags is not None:
+        lengths, hits = _flat_flags(flags)
+        flagged = producer < lengths[pair]
+        hit = np.zeros(len(pair), dtype=bool)
+        hit[flagged] = hits[(np.cumsum(lengths) - lengths)[pair[flagged]]
+                            + producer[flagged]]
+        waits &= flagged & ~hit
+    best = np.zeros(pairs, dtype=np.int64)
+    np.maximum.at(best, pair[waits],
+                  defs.data[def_at[waits]] - uses.data[use_at[waits]])
+    return best.astype(np.float64)
+
+
+def _flat_flags(flags):
+    """Per-pair predictor flags as ``(length per pair, flat hits)``."""
+    lengths = np.array([len(pair_flags) for pair_flags in flags],
+                       dtype=np.int64)
+    hits = np.fromiter(itertools.chain.from_iterable(flags), dtype=bool,
+                       count=int(lengths.sum()))
+    return lengths, hits
+
+
+def _lengths(streams, index):
+    """The length of each stream in ``index``; 0 where it is -1."""
+    lengths = np.zeros(len(index), dtype=np.int64)
+    found = index >= 0
+    lengths[found] = streams.length[index[found]]
+    return lengths
 
 
 class LoopSummary:
@@ -566,22 +574,23 @@ def _price_parent(cache, record, config, variant, costs, serial, marked,
         return serial, _FN, 0
     if config.dep == 0 and cache.has_keys[config.reduc, record]:
         return serial, _REGISTER_LCD, 0
-    invocation = cache.invocations[record]
     if config.model == "helix":
         # Scale serial-time skews by the invocation's shrink factor.
-        raw_total = invocation.serial_cost
+        raw_total = float(cache.serial_cost[record])
         scale = (serial / raw_total) if raw_total > 0 else 1.0
-        delta = max(invocation.max_mem_skew, variant.reg_delta[record]) * scale
+        delta = max(float(cache.mem_skew[record]),
+                    variant.reg_delta[record]) * scale
         outcome = helix_cost(costs, delta, serial)
-        conflicts = len(invocation.conflict_pairs)
+        conflicts = int(cache.pair_count[record])
     else:
-        pairs = invocation.conflict_pairs
+        pairs = cache.profile.pairs_of(record)
         if variant.injected is not None:
             extra = cache.consumers_of(variant.injected, record)
             if extra:
                 pairs = _with_adjacent(pairs, extra)
         if config.model == "doall":
-            outcome = doall_cost(costs, invocation.conflict_count > 0, serial)
+            outcome = doall_cost(costs, cache.conflict_count[record] > 0,
+                                 serial)
             conflicts = len(pairs)
         else:
             n = len(costs)

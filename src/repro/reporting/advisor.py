@@ -93,11 +93,8 @@ def advise_program(lp, program_name=None, crosscheck=False):
     invocations = {}
     if crosscheck:
         profile = lp.profile()
-        for invocation in profile.all_invocations():
-            loop_id = invocation.loop_id
-            conflicts[loop_id] = conflicts.get(loop_id, 0) \
-                + invocation.conflict_count
-            invocations[loop_id] = invocations.get(loop_id, 0) + 1
+        conflicts = profile.loop_totals(profile.conflict_count)
+        invocations = profile.loop_totals()
     advices = []
     for loop_id in sorted(dependence):
         static = lp.static_info.loops.get(loop_id)

@@ -108,16 +108,9 @@ def crosscheck_program(lp, program_name=None):
     """Crosscheck rows for one profiled program."""
     name = program_name if program_name is not None else lp.name
     profile = lp.profile()
-    conflicts = {}
-    invocations = {}
-    iterations = {}
-    for invocation in profile.all_invocations():
-        loop_id = invocation.loop_id
-        conflicts[loop_id] = conflicts.get(loop_id, 0) \
-            + invocation.conflict_count
-        invocations[loop_id] = invocations.get(loop_id, 0) + 1
-        iterations[loop_id] = iterations.get(loop_id, 0) \
-            + invocation.num_iterations
+    conflicts = profile.loop_totals(profile.conflict_count)
+    invocations = profile.loop_totals()
+    iterations = profile.loop_totals(profile.n)
     rows = []
     for loop_id, dependence in lp.static_info.dependence().items():
         rows.append(CrosscheckRow(

@@ -15,6 +15,8 @@ predicts at least ``PREDICTABLE_ACCURACY`` of its values.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.static_info import PHI_NONCOMPUTABLE, PHI_REDUCTION
 from ..predictors.hybrid import perfect_hybrid_flags
 from ..runtime.cost_models import pdoall_phase_breaks
@@ -71,33 +73,37 @@ def dynamic_census_of(lp):
         for static in lp.static_info.loops.values()
         for key in static.phis_of_class(PHI_NONCOMPUTABLE)
     }
-    for invocation in profile.all_invocations():
-        entry = census.get(invocation.loop_id)
-        if entry is None:
-            entry = census[invocation.loop_id] = LoopDynamicCensus(
-                invocation.loop_id
-            )
-        entry.invocations += 1
-        entry.iterations += invocation.num_iterations
-        # Count the *binding* manifestations (restart semantics): a read
-        # whose producer already committed does not manifest again.
-        entry.conflicting_iterations += len(
-            pdoall_phase_breaks(
-                invocation.conflict_pairs, invocation.num_iterations
-            )
-        )
-        for phi_key, values in invocation.lcd_values.items():
-            if phi_key in reduction_keys:
-                entry.reduction_lcds.add(phi_key)
-                continue
-            if phi_key not in noncomputable_keys or not values:
-                continue
-            flags = perfect_hybrid_flags(values)
-            accuracy = sum(flags) / len(flags)
-            if accuracy >= PREDICTABLE_ACCURACY:
-                entry.predictable_lcds.add(phi_key)
-            else:
-                entry.unpredictable_lcds.add(phi_key)
+    # Count the *binding* manifestations (restart semantics): a read
+    # whose producer already committed does not manifest again.
+    breaks = np.zeros(len(profile.n), dtype=np.int64)
+    n = profile.n.tolist()
+    for record in np.flatnonzero(profile.pair_count).tolist():
+        breaks[record] = len(pdoall_phase_breaks(profile.pairs_of(record),
+                                                 n[record]))
+    iterations = profile.loop_totals(profile.n)
+    conflicting = profile.loop_totals(breaks)
+    for loop_id, invocations in profile.loop_totals().items():
+        entry = census[loop_id] = LoopDynamicCensus(loop_id)
+        entry.invocations = invocations
+        entry.iterations = iterations[loop_id]
+        entry.conflicting_iterations = conflicting[loop_id]
+    loop_of = profile.loop_of.tolist()
+    streams = profile.values
+    for record, phi, values in zip(streams.rec.tolist(), streams.phi.tolist(),
+                                   streams.lists()):
+        phi_key = profile.phi_table[phi]
+        entry = census[profile.loop_table[loop_of[record]]]
+        if phi_key in reduction_keys:
+            entry.reduction_lcds.add(phi_key)
+            continue
+        if phi_key not in noncomputable_keys or not values:
+            continue
+        flags = perfect_hybrid_flags(values)
+        accuracy = sum(flags) / len(flags)
+        if accuracy >= PREDICTABLE_ACCURACY:
+            entry.predictable_lcds.add(phi_key)
+        else:
+            entry.unpredictable_lcds.add(phi_key)
     return census
 
 

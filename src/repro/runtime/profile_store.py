@@ -9,16 +9,24 @@ suite runner, ``repro figures`` and pytest skip re-profiling entirely;
 share one entry format, one read path, one atomic :func:`publish`, one
 set of maintenance calls and one counter type (:class:`StoreStats`).
 
-An entry is one file ``<key>.json``, where every key is a sha256 digest
-(64 lowercase hex digits), holding exactly
-``{"schema": S, "key": K, "payload": <payload JSON>, "checksum": H}``,
-with ``H`` the sha256 of the payload bytes as stored. A load checks that
-layout for its own key and schema and verifies the checksum before it
-parses the payload. Anything else (truncation, an undecodable byte, any
-edit of the payload, an entry copied under another key's name, schema
-drift, a payload field that does not decode) is corruption: the entry is
-counted, deleted and reported as a miss, and the caller's recompute
-rewrites it.
+An entry is one file ``<key>.entry``, where every key is a sha256 digest
+(64 lowercase hex digits), holding exactly one ASCII head line,
+``repro-entry <schema> <key> <sha256 of the payload>\n``, followed by the
+payload bytes. A load checks the head line for its own schema and key and
+verifies the checksum before it decodes anything. Anything else
+(truncation, any edit of the payload, an entry copied under another
+key's name, schema drift, a payload that does not decode) is corruption:
+the entry is counted, deleted and reported as a miss, and the caller's
+recompute rewrites it.
+
+A profile entry's payload is the binary form of
+:func:`~repro.runtime.serialize.profile_to_bytes` — a JSON header line,
+which also carries the program's static loop records and output, then
+the profile's columns as raw little-endian arrays — so a load rebuilds
+the columnar profile without creating a Python object per invocation.
+Its lengths and offsets are checked when it loads, so a damaged payload
+that slips past the checksum is a corrupt miss too, never an error deep
+in the evaluator. A code-cache entry's payload is the UTF-8 source.
 
 A profile entry is keyed by ``sha256(cache_schema | profile_format |
 instrumentation_version | fuel | inline | transform | source)``. Bump
@@ -31,30 +39,30 @@ Code-cache keys come from :func:`repro.interp.codegen.jit_cache_key`.
 under ``<REPRO_CACHE_DIR>/code``. Unset, they live in
 ``~/.cache/repro/profiles`` and ``~/.cache/repro/code``. A store counts,
 clears and evicts only files named like entries, so other files in the
-directory are left alone. :func:`default_store` and
+directory are left alone; ``clear`` also removes the entries of the
+earlier JSON layout (``<key>.json``). :func:`default_store` and
 :func:`default_code_cache` read the variable on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 import re
 import tempfile
 
-from .serialize import FORMAT_VERSION, profile_from_dict, profile_to_dict
+from .serialize import FORMAT_VERSION, profile_from_bytes, profile_to_bytes
 
 #: Version of the on-disk profile payload layout (not of the profile format
 #: itself — that is ``serialize.FORMAT_VERSION``). It is part of the key, so
 #: bumping it makes every existing entry a plain miss.
-PROFILE_CACHE_SCHEMA = 1
+PROFILE_CACHE_SCHEMA = 2
 
 #: Version of the code-cache entry layout. The *content* of cached sources
 #: is versioned by ``repro.interp.codegen.CODEGEN_VERSION`` (part of the
 #: key); a schema change therefore reads as corruption, once per entry.
-CODE_CACHE_SCHEMA = 2
+CODE_CACHE_SCHEMA = 3
 
 #: Default entry cap for the on-disk code cache (oldest-access eviction).
 #: Sized so a full bundled-suite sweep (48 programs x 2 variants x a few
@@ -80,23 +88,26 @@ def default_code_cache_root():
     return pathlib.Path.home() / ".cache" / "repro" / "code"
 
 
-def publish(path, text):
-    """Atomically replace ``path`` with ``text``.
+def publish(path, data):
+    """Atomically replace ``path`` with ``data`` (bytes, or text written
+    as UTF-8).
 
-    The text goes to a temporary file in the same directory, which is then
+    The data goes to a temporary file in the same directory, which is then
     renamed over ``path``: processes sharing a directory see the old file
     or the new one, never a partial one. The temporary file is removed if
     anything fails. Its name ends in ``.tmp``, so it never matches the
-    ``*.json`` globs of the stores or the fuzz corpus.
+    entry names of the stores or the ``*.json`` glob of the fuzz corpus.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -133,12 +144,15 @@ class StoreStats:
         return ", ".join(parts)
 
 
-#: The file name of an entry: its key, a sha256 hex digest, plus ``.json``.
-_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+#: The file name of an entry: its key, a sha256 hex digest, plus ``.entry``.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.entry")
+
+#: The file name of an entry in the earlier JSON layout.
+_LEGACY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
 class _Store:
-    """A directory of ``<key>.json`` entries in the shared format.
+    """A directory of ``<key>.entry`` entries in the shared format.
 
     IO failures count as misses/errors and never propagate: a broken cache
     must never break a run.
@@ -153,7 +167,7 @@ class _Store:
         """The entry path of ``key``; raises ``ValueError`` unless the key
         is a sha256 hex digest, so every entry is one :meth:`entries`
         sees."""
-        name = f"{key}.json"
+        name = f"{key}.entry"
         if not _ENTRY_NAME.fullmatch(name):
             raise ValueError(f"not a store key: {key!r}")
         return self.root / name
@@ -184,14 +198,13 @@ class _Store:
         self.stats.hits += 1
         return value
 
-    def _write(self, key, payload_json):
-        """Publish ``payload_json`` (the payload's JSON text) as ``key``'s
-        entry; returns False, counting an error, if the write fails."""
+    def _write(self, key, payload):
+        """Publish the ``payload`` bytes as ``key``'s entry; returns False,
+        counting an error, if the write fails."""
         path = self._path_for(key)
-        checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
-        text = _entry_head(self.schema, key) + payload_json + _entry_tail(checksum)
+        checksum = hashlib.sha256(payload).hexdigest()
         try:
-            publish(path, text)
+            publish(path, _entry_head(self.schema, key, checksum) + payload)
         except Exception:
             self.stats.errors += 1
             return False
@@ -202,10 +215,13 @@ class _Store:
 
     def entries(self):
         """Paths of all entries currently on disk: the files named
-        ``<64 lowercase hex digits>.json``, and nothing else."""
+        ``<64 lowercase hex digits>.entry``, and nothing else."""
+        return self._named(_ENTRY_NAME)
+
+    def _named(self, pattern):
         try:
-            return sorted(path for path in self.root.glob("*.json")
-                          if _ENTRY_NAME.fullmatch(path.name))
+            return sorted(path for path in self.root.iterdir()
+                          if pattern.fullmatch(path.name))
         except OSError:
             return []
 
@@ -219,9 +235,10 @@ class _Store:
         return total
 
     def clear(self):
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, and every entry of the earlier JSON layout
+        (``<64 hex>.json``); returns the number removed."""
         removed = 0
-        for path in self.entries():
+        for path in self.entries() + self._named(_LEGACY_NAME):
             try:
                 path.unlink()
                 removed += 1
@@ -260,10 +277,10 @@ class CachedRun:
 def _cached_run(payload):
     from ..core.static_info import loop_static_from_dict
 
+    profile, meta = profile_from_bytes(payload)
     static_loops = {loop_id: loop_static_from_dict(entry)
-                    for loop_id, entry in payload["static_loops"].items()}
-    return CachedRun(profile_from_dict(payload["profile"]), static_loops,
-                     list(payload["output"]))
+                    for loop_id, entry in meta["static_loops"].items()}
+    return CachedRun(profile, static_loops, list(meta["output"]))
 
 
 class ProfileStore(_Store):
@@ -305,25 +322,17 @@ class ProfileStore(_Store):
         dependency."""
         from ..core.static_info import loop_static_to_dict
 
-        payload = {
-            "profile": profile_to_dict(profile),
+        payload = profile_to_bytes(profile, meta={
             "static_loops": {loop_id: loop_static_to_dict(s)
                              for loop_id, s in static_info.loops.items()},
             "output": list(output),
-        }
-        # Serialize the (large) payload exactly once, in canonical form.
-        # json.dump would stream through the pure-Python encoder; json.dumps
-        # uses the C one, which is the difference between seconds and
-        # milliseconds on a multi-megabyte profile.
-        payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        })
         return self._write(self.cache_key(source, fuel, inline, transform),
-                           payload_json)
+                           payload)
 
 
 def _source(payload):
-    if not isinstance(payload, str):
-        raise ValueError("code-cache payload is not a source string")
-    return payload
+    return payload.decode("utf-8")
 
 
 class CodeCache(_Store):
@@ -332,7 +341,7 @@ class CodeCache(_Store):
     Keys come from :func:`repro.interp.codegen.jit_cache_key` (IR text +
     plan + codegen version), so a warm sweep skips source generation
     entirely and goes straight to ``compile()``. The payload is the source
-    as a JSON string. The store holds at most ``cap`` entries, evicting the
+    in UTF-8. The store holds at most ``cap`` entries, evicting the
     least recently used (by file mtime, refreshed on every hit).
     """
 
@@ -356,7 +365,7 @@ class CodeCache(_Store):
 
     def store(self, key, source):
         """Persist one generated source, then evict down to the cap."""
-        stored = self._write(key, json.dumps(source))
+        stored = self._write(key, source.encode("utf-8"))
         if stored:
             self._evict_to_cap()
         return stored
@@ -410,33 +419,23 @@ def default_code_cache():
     return _default(CodeCache, default_code_cache_root())
 
 
-# -- entry layout: _entry_head(schema, key) + payload JSON + _entry_tail(sha256
-# of the payload bytes), one JSON object written as ASCII --------------------
+# -- entry layout: one ASCII head line, then the payload bytes --------------------
 
 
-def _entry_head(schema, key):
-    return '{"schema": %s, "key": %s, "payload": ' % (
-        json.dumps(schema), json.dumps(key)
-    )
-
-
-def _entry_tail(checksum):
-    return ', "checksum": %s}' % json.dumps(checksum)
-
-
-_TAIL_BYTES = len(_entry_tail("0" * 64))
+def _entry_head(schema, key, checksum):
+    return f"repro-entry {schema} {key} {checksum}\n".encode("ascii")
 
 
 def _entry_payload(data, schema, key):
-    """The parsed payload of entry bytes ``data`` for ``key``; raises
+    """The payload of entry bytes ``data`` for ``key``; raises
     ``ValueError`` unless ``data`` has the exact layout, with a checksum
     that matches the payload bytes."""
-    head = _entry_head(schema, key).encode("ascii")
-    body_end = len(data) - _TAIL_BYTES
-    if body_end < len(head) or not data.startswith(head):
-        raise ValueError("not an entry for this key and schema")
-    body = data[len(head):body_end]
-    checksum = hashlib.sha256(body).hexdigest()
-    if data[body_end:] != _entry_tail(checksum).encode("ascii"):
-        raise ValueError("checksum mismatch")
-    return json.loads(body.decode("utf-8"))
+    end = data.find(b"\n", 0, len(_entry_head(schema, key, "0" * 64)))
+    if end < 0:
+        raise ValueError("no entry head line")
+    # A fresh bytes object: the payload's padded arrays stay aligned.
+    payload = data[end + 1:]
+    checksum = hashlib.sha256(payload).hexdigest()
+    if data[:end + 1] != _entry_head(schema, key, checksum):
+        raise ValueError("not an intact entry for this key and schema")
+    return payload

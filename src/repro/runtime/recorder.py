@@ -1,7 +1,9 @@
 """ProfilingRuntime — the run-time component of Loopapalooza (§III-B).
 
-Receives the instrumentation callbacks from the interpreter and builds the
-:class:`~repro.runtime.profile.ProgramProfile`:
+Receives the instrumentation callbacks from the interpreter and records
+one :class:`~repro.runtime.profile.LoopInvocation` node per loop
+invocation, which :meth:`ProfilingRuntime.finish` flattens once into the
+columnar :class:`~repro.runtime.profile.ProgramProfile`:
 
 * maintains the dynamic loop-invocation stack (properly nested; early
   function returns force-exit the invocations of that frame);
@@ -20,12 +22,15 @@ from .profile import LoopInvocation, ProgramProfile
 
 
 class _ActiveLoop:
-    """Stack entry: the invocation plus its live tracking state."""
+    """Stack entry: the invocation, its entry index, and its live tracking
+    state."""
 
-    __slots__ = ("invocation", "last_write", "last_def_ts", "first_use_off")
+    __slots__ = ("invocation", "index", "last_write", "last_def_ts",
+                 "first_use_off")
 
-    def __init__(self, invocation):
+    def __init__(self, invocation, index):
         self.invocation = invocation
+        self.index = index
         self.last_write = {}     # addr -> (iter_idx, ts)
         self.last_def_ts = {}    # phi_key -> ts (most recent producer def)
         self.first_use_off = {}  # phi_key -> offset within current iteration
@@ -35,7 +40,9 @@ class ProfilingRuntime:
     """Implements the interpreter's callback interface and owns the profile."""
 
     def __init__(self, name="program"):
-        self.profile = ProgramProfile(name)
+        self.name = name
+        self.invocations = []       # LoopInvocation list, in entry order
+        self.parents = []           # entry index of each one's parent, or -1
         self.stack = []             # list[_ActiveLoop]
         self.frame_markers = []     # loop-stack depth at each function entry
         self.by_loop = {}           # loop_id -> list[_ActiveLoop] (recursion-safe)
@@ -98,15 +105,14 @@ class ProfilingRuntime:
             parent_entry = self.stack[-1]
             parent = parent_entry.invocation
             parent_iter = parent.current_iter
+            self.parents.append(parent_entry.index)
         else:
             parent = None
             parent_iter = -1
+            self.parents.append(-1)
         invocation = LoopInvocation(loop_id, parent, parent_iter, ts)
-        if parent is not None:
-            parent.children.append(invocation)
-        else:
-            self.profile.top_level.append(invocation)
-        entry = _ActiveLoop(invocation)
+        entry = _ActiveLoop(invocation, len(self.invocations))
+        self.invocations.append(invocation)
         self.stack.append(entry)
         self.by_loop.setdefault(loop_id, []).append(entry)
 
@@ -368,12 +374,17 @@ class ProfilingRuntime:
     # -- finishing ------------------------------------------------------------------
 
     def finish(self, total_cost, result=None):
+        """Close every open invocation and call, and return the run's
+        columnar :class:`ProgramProfile`; the invocation nodes are dropped,
+        so none outlives the run."""
         ts = total_cost
         while self.stack:
             self._pop_invocation(ts)
         for depth in list(self.pending_calls):
             self._finalize_pending(depth, ts)
-        self.profile.total_cost = total_cost
-        self.profile.result = result
-        self.profile.call_sites = dict(self.call_summaries)
-        return self.profile
+        invocations, self.invocations = self.invocations, []
+        parents, self.parents = self.parents, []
+        return ProgramProfile.from_invocations(
+            self.name, invocations, parents, total_cost, result,
+            dict(self.call_summaries),
+        )

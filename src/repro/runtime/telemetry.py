@@ -221,7 +221,9 @@ def load_manifest(run_id, root=None):
 
 
 def purge_runs(root=None):
-    """Delete every run directory; returns the number removed."""
+    """Delete every run directory — every directory under ``root`` that
+    holds a ``manifest.json``, the file :func:`list_runs` reads — and
+    nothing else; returns the number removed."""
     root = pathlib.Path(root) if root is not None else runs_root()
     removed = 0
     try:
@@ -229,7 +231,7 @@ def purge_runs(root=None):
     except OSError:
         return 0
     for run_dir in run_dirs:
-        if not run_dir.is_dir():
+        if not (run_dir / MANIFEST_NAME).is_file():
             continue
         try:
             shutil.rmtree(run_dir)

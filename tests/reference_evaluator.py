@@ -73,7 +73,9 @@ class ReferenceCache:
     def records(self, static_info):
         if self._records is not None and self._records_static is static_info:
             return self._records
-        reversed_invs = list(reversed(self.profile.all_invocations()))
+        # One tree view: every call of ``all_invocations`` builds a new one.
+        invocations = self.profile.all_invocations()
+        reversed_invs = list(reversed(invocations))
         position = {id(inv): i for i, inv in enumerate(reversed_invs)}
         loops = static_info.loops
         records = []
@@ -112,7 +114,7 @@ class ReferenceCache:
             records.append(rec)
         self._top = [
             (position[id(inv)], float(inv.serial_cost))
-            for inv in self.profile.top_level
+            for inv in invocations if inv.parent is None
         ]
         self._records = records
         self._records_static = static_info

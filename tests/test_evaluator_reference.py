@@ -11,15 +11,23 @@ rejects NumPy integers).
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference_evaluator as reference
 from helpers import valid_configurations
 from repro.bench.suites import ALL_SUITES, suite_programs
 from repro.core.config import LPConfig, paper_configurations
-from repro.core.evaluator import ProfileCache, _evaluate_round, evaluate_config
+from repro.core.evaluator import (
+    ProfileCache,
+    _evaluate_round,
+    _register_skews,
+    evaluate_config,
+)
 from repro.core.framework import Loopapalooza
 from repro.fuzz.genprog import generate_program
 from repro.runtime import cost_models
+from repro.runtime.serialize import profile_from_dict
 
 
 def non_builtin_numbers(value, path="result"):
@@ -137,3 +145,41 @@ def test_pdoall_cutoffs(runner, monkeypatch, cutoff):
     for program in suite_programs("specint2006"):
         assert_matches_reference(runner.instance(program),
                                  [LPConfig.parse("pdoall:reduc1-dep2-fn2")])
+
+
+#: One record's def-offset stream, use-offset stream (``None`` where an
+#: iteration has no use) and predictor flags.
+_LCD_RECORDS = st.lists(st.tuples(
+    st.lists(st.integers(0, 40), max_size=6),
+    st.lists(st.none() | st.integers(0, 40), max_size=8),
+    st.lists(st.booleans(), max_size=8),
+), min_size=1, max_size=4)
+
+
+@given(_LCD_RECORDS)
+def test_register_skews_match_the_walk(records):
+    """The vectorized HELIX register skews equal the walk's, with and
+    without predictor flags. The bundled programs never record a
+    ``None`` use offset, so only this test reaches that case."""
+    top_level = [{
+        "loop_id": "main.loop", "parent_iter": -1, "iter_starts": [0],
+        "end_ts": 1, "conflict_pairs": [], "max_mem_skew": 0.0,
+        "conflict_count": 0, "lcd_values": {},
+        "lcd_def_offsets": {"main.loop:x": defs} if defs else {},
+        "lcd_use_offsets": {"main.loop:x": uses} if uses else {},
+        "exited": True, "children": [],
+    } for defs, uses, _ in records]
+    profile = profile_from_dict({"format": 1, "name": "lcd", "total_cost": 1,
+                                 "result": 0, "top_level": top_level})
+    # Record r is top-level invocation len(records) - 1 - r.
+    invocations = profile.top_level[::-1]
+    flags = [pair_flags for _, _, pair_flags in records][::-1]
+    keys = ["main.loop:x"] * len(records)
+    rows = range(len(records))
+    assert _register_skews(profile, rows, keys).tolist() == [
+        reference._reg_skew(invocation, "main.loop:x")
+        for invocation in invocations]
+    assert _register_skews(profile, rows, keys, flags).tolist() == [
+        reference._reg_skew(invocation, "main.loop:x", restrict_to={
+            index + 1 for index, hit in enumerate(pair_flags) if not hit})
+        for invocation, pair_flags in zip(invocations, flags)]

@@ -6,7 +6,10 @@ configuration evaluates to bit-identical speedup and coverage — and any
 defect in the store (schema drift, corruption, version bumps) silently
 degrades to re-profiling, never to wrong numbers. The profile store and
 the JIT code cache share one entry format and one read path, so one
-corruption contract is checked against both.
+corruption contract is checked against both. A profile payload is raw
+arrays behind a JSON header, so damage that only its length checks can
+catch is a corrupt miss as well, and every bundled program's profile
+serializes the same after the round trip.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ import json
 
 import pytest
 
-from repro.bench import find_program
+from repro.bench import all_programs, find_program
 from repro.core.config import paper_configurations
 from repro.core.framework import Loopapalooza
 from repro.frontend.codegen import compile_source
@@ -28,6 +31,11 @@ from repro.runtime.profile_store import (
     default_code_cache,
     default_code_cache_root,
     default_store,
+)
+from repro.runtime.serialize import (
+    profile_from_bytes,
+    profile_from_dict,
+    profile_to_dict,
 )
 
 FUEL = 50_000_000
@@ -63,8 +71,7 @@ def test_round_trip_bit_identical_for_every_config(source, store):
         measured = cold.evaluate(config)
         cached = warm.evaluate(config)
         # Serving from the cache must not change a single byte of the
-        # result, dict order included -- although a loaded profile holds
-        # its conflict pairs sorted and a recorded one in event order.
+        # result, dict order included.
         assert json.dumps(cached.to_dict()) == json.dumps(measured.to_dict()), \
             config.name
 
@@ -120,7 +127,7 @@ def test_corrupt_entry_falls_back_to_reprofiling(source, store):
     cold = _fresh(source, store)
     cold.profile()
     [entry] = store.entries()
-    entry.write_text(entry.read_text()[: entry.stat().st_size // 2])
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
 
     relearn = _fresh(source, store)
     relearn.profile()
@@ -138,9 +145,11 @@ def test_checksum_mismatch_detected(source, store):
     cold = _fresh(source, store)
     cold.profile()
     [path] = store.entries()
-    entry = json.loads(path.read_text())
-    entry["payload"]["profile"]["total_cost"] += 1  # bit rot
-    path.write_text(json.dumps(entry))
+    data = path.read_bytes()
+    total = b'"total_cost":%d' % cold.total_cost
+    assert data.count(total) == 1
+    path.write_bytes(data.replace(
+        total, b'"total_cost":%d' % (cold.total_cost + 1)))  # bit rot
 
     warm = _fresh(source, store)
     warm.profile()
@@ -166,15 +175,14 @@ def test_non_utf8_byte_is_corruption(source, store):
 
 
 def test_payload_edit_that_parses_the_same_is_rejected(source, store):
-    """The checksum covers the stored payload bytes, not the parsed value:
-    one added space still parses to the same payload, yet it is corrupt."""
+    """The checksum covers the stored payload bytes, not the decoded value:
+    eight spaces before the payload's JSON header still decode to the same
+    profile, yet the entry is corrupt."""
     _fresh(source, store).profile()
     [path] = store.entries()
     data = path.read_bytes()
-    head = data.index(b'"payload": ') + len(b'"payload": ')
-    comma = data.index(b",", head)
-    edited = data[:comma + 1] + b" " + data[comma + 1:]
-    assert json.loads(edited)["payload"] == json.loads(data)["payload"]
+    edited = _same_profile_edit(data)
+    assert _decoded(edited) == _decoded(data)
     path.write_bytes(edited)
 
     warm = _fresh(source, store)
@@ -188,7 +196,7 @@ def test_entry_under_another_key_is_rejected(source, store):
     fuel budget) must not serve that key."""
     _fresh(source, store).profile()
     [path] = store.entries()
-    other = store.root / f"{store.cache_key(source, FUEL + 1)}.json"
+    other = store._path_for(store.cache_key(source, FUEL + 1))
     other.write_bytes(path.read_bytes())
 
     relearn = Loopapalooza(source, name=BENCH, fuel=FUEL + 1, store=store)
@@ -234,6 +242,21 @@ def test_default_stores_follow_the_variable(monkeypatch, tmp_path):
     assert default_code_cache().root == second / "code"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
     assert default_store() is store and default_code_cache() is code
+
+
+def test_default_runner_follows_the_variable(monkeypatch, tmp_path):
+    """The figure functions' default runner reads ``REPRO_CACHE_DIR`` on
+    every call too, and is shared per root."""
+    from repro.bench.suites import default_runner
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
+    runner = default_runner()
+    assert runner.store.root == first
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(second))
+    assert default_runner().store.root == second
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
+    assert default_runner() is runner
 
 
 @pytest.mark.parametrize("key", ["aaa", "A" * 64, "a" * 63, "../" + "a" * 61,
@@ -313,10 +336,32 @@ def _non_utf8_byte(entries, data):
     return bytes(damaged)
 
 
+def _payload(data):
+    return data[data.index(b"\n") + 1:]
+
+
+def _decoded(data):
+    """The profile dict and metadata of a profile entry's bytes."""
+    profile, meta = profile_from_bytes(_payload(data))
+    return profile_to_dict(profile), meta
+
+
+def _same_profile_edit(data):
+    """Eight spaces before the payload's JSON header: the header parses
+    the same and the arrays stay aligned."""
+    head = data.index(b"\n") + 1
+    return data[:head] + b" " * 8 + data[head:]
+
+
 def _same_parse_edit(entries, data):
-    at = data.rindex(b', "checksum"')
-    edited = data[:at] + b" " + data[at:]
-    assert json.loads(edited) == json.loads(data)
+    if isinstance(entries, _ProfileEntries):
+        edited = _same_profile_edit(data)
+        assert _decoded(edited) == _decoded(data)
+    else:
+        # A trailing newline compiles to the same code.
+        edited = data + b"\n"
+        assert compile(_payload(edited), "<edited>", "exec").co_code == \
+            compile(_payload(data), "<entry>", "exec").co_code
     return edited
 
 
@@ -370,3 +415,149 @@ def test_code_cache_schema_bump_reads_as_corrupt_once(tmp_path, monkeypatch):
     assert entries.store.stats.stores == 1
     assert entries.load(0) == source
     assert entries.store.stats.corrupt == 1
+
+
+# -- the binary profile payload ----------------------------------------------------
+
+
+def _small_profile_dict(store=None):
+    lp = Loopapalooza(SMALL[0], name="small", fuel=FUEL, store=store)
+    return lp, profile_to_dict(lp.profile())
+
+
+def _arrays_start(data):
+    """Where the arrays of a profile entry's payload begin."""
+    head = data.index(b"\n") + 1
+    return data.index(b"\n", head) + 1
+
+
+def _flip_array_byte(store, data):
+    at = (_arrays_start(data) + len(data)) // 2
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+def _truncate_inside_array(store, data):
+    # Half of the first element of the first array.
+    return data[:_arrays_start(data) + 4]
+
+
+def _overlong_header(store, data):
+    """The header declares one more iteration start than the payload
+    holds; the head line is rewritten with the new payload's checksum, so
+    only the length check can catch it."""
+    payload = _payload(data)
+    end = payload.index(b"\n")
+    header = json.loads(payload[:end])
+    [spec] = [spec for spec in header["arrays"] if spec[0] == "starts"]
+    spec[2] += 1
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = text + b" " * (-(len(text) + 1) % 8) + b"\n" + payload[end + 1:]
+    key = store.cache_key(SMALL[0], FUEL)
+    checksum = hashlib.sha256(payload).hexdigest()
+    return (f"repro-entry {store.schema} {key} {checksum}\n".encode()
+            + payload)
+
+
+def _old_layout_entry(store, data):
+    """An intact entry of the earlier JSON layout, under the new name."""
+    _, profile = _small_profile_dict()
+    payload = json.dumps({"profile": profile, "static_loops": {},
+                          "output": []}, sort_keys=True)
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
+    key = store.cache_key(SMALL[0], FUEL)
+    return (f'{{"schema": 1, "key": "{key}", "payload": {payload}, '
+            f'"checksum": "{checksum}"}}').encode()
+
+
+@pytest.mark.parametrize("damage", [
+    _flip_array_byte, _truncate_inside_array, _overlong_header,
+    _old_layout_entry,
+], ids=["flipped-array-byte", "truncated-array", "overlong-header",
+        "old-layout-entry"])
+def test_damaged_profile_payload_is_a_corrupt_miss_then_reprofiled(
+        tmp_path, damage):
+    store = ProfileStore(tmp_path)
+    _, clean = _small_profile_dict(store)
+    path = store._path_for(store.cache_key(SMALL[0], FUEL))
+    path.write_bytes(damage(store, path.read_bytes()))
+
+    relearn, profile = _small_profile_dict(store)
+    assert not relearn.profiled_from_cache
+    assert (store.stats.corrupt, store.stats.stores) == (1, 2)
+    assert profile == clean
+    warm, profile = _small_profile_dict(store)
+    assert warm.profiled_from_cache
+    assert profile == clean
+
+
+#: A profile the recorder of the bundled programs never produces: a use
+#: stream with ``None`` and longer than its value stream, a float value
+#: stream, and a nested invocation that did not exit.
+HAND_BUILT = {
+    "format": 1, "name": "hand", "total_cost": 500, "result": 3,
+    "top_level": [{
+        "loop_id": "main.outer", "parent_iter": -1,
+        "iter_starts": [10, 60, 110], "end_ts": 160,
+        "conflict_pairs": [[1, 0], [2, 0]], "max_mem_skew": 1.5,
+        "conflict_count": 3,
+        "lcd_values": {"main.outer:x": [1.5, -2.25]},
+        "lcd_def_offsets": {"main.outer:x": [4, 5]},
+        "lcd_use_offsets": {"main.outer:x": [None, 2, None, 7]},
+        "exited": True,
+        "children": [{
+            "loop_id": "main.inner", "parent_iter": 1,
+            "iter_starts": [70, 80], "end_ts": 90, "conflict_pairs": [],
+            "max_mem_skew": 0.0, "conflict_count": 0,
+            "lcd_values": {"main.inner:k": [7, -3]},
+            "lcd_def_offsets": {"main.inner:k": [0, 1]},
+            "lcd_use_offsets": {}, "exited": False, "children": [],
+        }],
+    }],
+    "call_sites": {"main->f@1": {"calls": 2, "total_duration": 40,
+                                 "total_saving": 10.5,
+                                 "dependent_calls": 1}},
+}
+
+
+def test_hand_built_profile_round_trips_through_the_store(tmp_path):
+    store = ProfileStore(tmp_path)
+    profile = profile_from_dict(HAND_BUILT)
+    static = type("Static", (), {"loops": {}})()
+    assert store.store("hand", FUEL, profile, static, [1, 2.5])
+
+    cached = store.load("hand", FUEL)
+    assert cached.output == [1, 2.5]
+    loaded = cached.profile
+    assert loaded.uses.missing is not None
+    assert loaded.values.is_float.tolist() == [False, True]
+    assert json.dumps(profile_to_dict(loaded), sort_keys=True) == \
+        json.dumps(HAND_BUILT, sort_keys=True)
+    [outer] = loaded.top_level
+    [inner] = outer.children
+    assert inner.parent is outer and not inner.exited
+    assert outer.lcd_use_offsets == {"main.outer:x": [None, 2, None, 7]}
+    assert type(outer.lcd_values["main.outer:x"][0]) is float
+    assert type(inner.lcd_values["main.inner:k"][0]) is int
+
+
+@pytest.fixture(scope="module")
+def suite_store(tmp_path_factory):
+    return ProfileStore(tmp_path_factory.mktemp("suite-store"))
+
+
+@pytest.mark.parametrize("program", all_programs(),
+                         ids=lambda program: program.full_name)
+def test_loaded_profile_serializes_like_the_recorded_one(suite_store,
+                                                         program):
+    def instance():
+        lp = Loopapalooza(program.source, name=program.full_name,
+                          fuel=50_000_000, store=suite_store)
+        lp.profile()
+        return lp
+
+    recorded = instance()
+    assert not recorded.profiled_from_cache
+    loaded = instance()
+    assert loaded.profiled_from_cache
+    assert json.dumps(profile_to_dict(loaded.profile()), sort_keys=True) == \
+        json.dumps(profile_to_dict(recorded.profile()), sort_keys=True)

@@ -117,6 +117,29 @@ def test_runs_recorded_by_older_versions_still_list_and_purge(tmp_path):
     assert not run_dir.exists()
 
 
+def test_runs_clean_removes_only_runs(monkeypatch, tmp_path):
+    """``repro runs clean`` removes the directories that hold a manifest
+    and leaves every other file and directory under the runs root."""
+    import io
+
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+    run = RunTelemetry.create()
+    run.finish()
+    notes = tmp_path / "my-notes"
+    notes.mkdir()
+    (notes / "keep.txt").write_text("mine")
+    (tmp_path / "README").write_text("mine")
+
+    out = io.StringIO()
+    assert main(["runs", "clean"], out=out) == 0
+    assert "removed 1 recorded run(s)" in out.getvalue()
+    assert not run.run_dir.exists()
+    assert (notes / "keep.txt").read_text() == "mine"
+    assert (tmp_path / "README").read_text() == "mine"
+
+
 def test_runs_root_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs-here"))
     assert runs_root() == tmp_path / "runs-here"
