@@ -41,9 +41,9 @@ Commands:
   ``REPRO_RUNS_DIR`` the run manifests. A killed run is recovered by
   running it again: its finished profiles are in the profile store.
   Exits 1 with a ``FAIL:`` line per violation if a statically proved
-  DOALL loop or an advised-parallel loop conflicted, or too few loops
-  resolved statically. ``--suite`` instead prints one suite's speedups
-  and records no run.
+  DOALL loop conflicted (an advised-parallel loop is always one), or too
+  few loops resolved statically. ``--suite`` instead prints one suite's
+  speedups and records no run.
 * ``bench``           — list the bundled benchmarks.
 * ``vec-report``      — per-loop vectorizer decisions (a FILE or
   ``--bench``): which innermost loops the vector tier takes, each
@@ -245,6 +245,9 @@ def _cmd_cache(args, out):
         print(f"{label} at {info['root']}", file=out)
         print(f"  schema:  {info['schema']}", file=out)
         print(f"  entries: {info['entries']}", file=out)
+        if info["earlier_entries"]:
+            print(f"  earlier-layout entries: {info['earlier_entries']} "
+                  f"(removed by clear)", file=out)
         print(f"  size:    {info['size_bytes']} bytes", file=out)
         if "cap" in info:
             print(f"  cap:     {info['cap']} entries", file=out)

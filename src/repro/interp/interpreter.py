@@ -276,8 +276,8 @@ def _alloca(machine, instruction, values, ts):
     allocated = instruction.allocated_type
     zero = 0.0 if _alloc_zero_is_float(allocated) else 0
     runtime = machine.runtime
-    marks = runtime.current_marks() if runtime is not None else None
-    return machine.space.allocate(allocated.size_in_slots(), zero, marks)
+    birth = runtime.current_marks() if runtime is not None else None
+    return machine.space.allocate(allocated.size_in_slots(), zero, birth)
 
 
 def _load(machine, instruction, values, ts):

@@ -3,10 +3,11 @@
 One address = one scalar slot. Globals occupy the bottom of the address
 space; above them grows a bump-allocated stack of frames and allocas.
 
-Every allocation (frame or alloca) is tagged with *birth marks* — a snapshot
-of ``{loop-invocation id: iteration index}`` for the tracked loop invocations
-active when the allocation happened. The Loopapalooza runtime uses these to
-implement the paper's cactus-stack privatization (§II-E): an access to
+Every allocation (frame or alloca) is tagged with its *birth epoch*: the
+runtime's loop epoch when the allocation happened (see
+:mod:`repro.runtime.recorder`). The Loopapalooza runtime uses it to
+implement the paper's cactus-stack privatization (§II-E): a read never
+conflicts with a write made before its storage was born, so an access to
 storage born inside the current iteration of a loop can never be a
 loop-carried dependency of that loop.
 """
@@ -25,9 +26,9 @@ class AddressSpace:
         self.slots = []
         self.global_limit = 0
         # Parallel arrays of allocation start addresses and their birth
-        # marks, always sorted ascending (bump allocation).
+        # epochs, always sorted ascending (bump allocation).
         self._alloc_starts = []
-        self._alloc_marks = []
+        self._alloc_births = []
         self._stack_pointer = 0
 
     # -- initialization --------------------------------------------------------
@@ -45,8 +46,9 @@ class AddressSpace:
     def frame_base(self):
         return self._stack_pointer
 
-    def allocate(self, size, zero_value, marks):
-        """Bump-allocate ``size`` slots tagged with ``marks``; returns base."""
+    def allocate(self, size, zero_value, birth):
+        """Bump-allocate ``size`` slots born at epoch ``birth``; returns
+        base."""
         base = self._stack_pointer
         self._stack_pointer = base + size
         needed = self._stack_pointer - len(self.slots)
@@ -56,7 +58,7 @@ class AddressSpace:
             for offset in range(size):
                 self.slots[base + offset] = zero_value
         self._alloc_starts.append(base)
-        self._alloc_marks.append(marks)
+        self._alloc_births.append(birth)
         return base
 
     def release_to(self, base):
@@ -64,7 +66,7 @@ class AddressSpace:
         self._stack_pointer = base
         index = bisect_right(self._alloc_starts, base - 1)
         del self._alloc_starts[index:]
-        del self._alloc_marks[index:]
+        del self._alloc_births[index:]
 
     # -- access ------------------------------------------------------------------
 
@@ -78,11 +80,12 @@ class AddressSpace:
             raise TrapError(f"store to invalid address {address}")
         self.slots[address] = value
 
-    def marks_for(self, address):
-        """Birth marks of the allocation owning ``address`` (None = global)."""
+    def birth_of(self, address):
+        """Birth epoch of the allocation owning ``address``; globals are
+        born at epoch 0, before any loop is entered."""
         if address < self.global_limit:
-            return None
+            return 0
         index = bisect_right(self._alloc_starts, address) - 1
         if index < 0:
-            return None
-        return self._alloc_marks[index]
+            return 0
+        return self._alloc_births[index]

@@ -178,9 +178,9 @@ def paper_run(runner, telemetry):
     Returns ``(sections, violations)``: the ``(title, text)`` sections in
     print order — Table I, Static crosscheck, Transform unlock,
     Parallelizability advisor, Figures 2-5 — and
-    :func:`paper_violations` of the run's own crosscheck and advisor
-    reports. Cache statistics and vectorizer decisions go into the run
-    manifest; finishing the run is left to the caller.
+    :func:`paper_violations` of the run's own crosscheck report. Cache
+    statistics and vectorizer decisions go into the run manifest;
+    finishing the run is left to the caller.
     """
     sweep = {"telemetry": telemetry}
     # Figs. 2 and 3 sweep all 14 configurations, one manifest task per
@@ -207,18 +207,21 @@ def paper_run(runner, telemetry):
     ]
     telemetry.record_cache_stats(_cache_stats(runner))
     telemetry.record_vec_decisions(_vec_decisions())
-    return sections, paper_violations(crosscheck, advice)
+    return sections, paper_violations(crosscheck)
 
 
-def paper_violations(crosscheck, advice):
-    """One message per soundness violation in a crosscheck report and an
-    advisor report joined against the profile; empty when the run is
-    sound. Three checks, all on the reports as given:
+def paper_violations(crosscheck):
+    """One message per soundness violation in a crosscheck report; empty
+    when the run is sound. Two checks, on the report as given:
 
     * a ``STATIC_DOALL`` loop recorded a dynamic conflict;
     * fewer than :data:`MIN_RESOLVED_FRACTION` of the loops resolved
-      statically;
-    * an advised ``@parallel``/``@reduce`` loop recorded a conflict.
+      statically.
+
+    An advised ``@parallel``/``@reduce`` loop that conflicted needs no
+    check of its own: the advisor advises only ``STATIC_DOALL`` loops and
+    reads the same per-loop conflict totals, so such a loop is already an
+    unsound ``STATIC_DOALL``.
     """
     violations = [
         f"unsound STATIC_DOALL: {row.program} {row.loop_id} had "
@@ -233,11 +236,6 @@ def paper_violations(crosscheck, advice):
         violations.append(
             f"only {resolved}/{total} loops resolved statically, below "
             f"the {MIN_RESOLVED_FRACTION:.0%} floor")
-    violations.extend(
-        f"unsound advice: {a.program} {a.loop_id} advised {a.annotation} "
-        f"but had {a.conflicts} dynamic conflict(s)"
-        for a in advice.unsound
-    )
     return violations
 
 

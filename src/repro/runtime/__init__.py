@@ -1,10 +1,10 @@
 """repro.runtime — the Loopapalooza run-time component.
 
 Profile data structures (the columnar profile, and the loop-invocation
-nodes the recorder builds), the profiling runtime that implements the
-instrumentation callbacks (conflict tracking, register LCD recording,
-cactus-stack privatization), and the DOALL / Partial-DOALL / HELIX cost
-models.
+nodes of its read-only tree view), the profiling runtime that implements
+the instrumentation callbacks (epoch-ordered conflict tracking, register
+LCD recording, cactus-stack privatization), and the DOALL /
+Partial-DOALL / HELIX cost models.
 """
 
 from .cost_models import (

@@ -23,12 +23,13 @@ arrays hold the rest:
   producer-definition and first-use offsets (for HELIX ``dep1``
   lowering).
 
-The recorder builds one :class:`LoopInvocation` node per invocation while
-the program runs, and :meth:`ProgramProfile.from_invocations` flattens
-them once, when the run finishes. :attr:`ProgramProfile.top_level` and
-:meth:`ProgramProfile.all_invocations` rebuild such a tree from the
-columns on every call, as a read-only view for tests and tools: changing
-it changes nothing in the profile, and no evaluation reads it.
+The recorder keeps one record per invocation while the program runs, and
+:meth:`ProgramProfile.from_invocations` flattens them once, when the run
+finishes. :attr:`ProgramProfile.top_level` and
+:meth:`ProgramProfile.all_invocations` rebuild a tree of
+:class:`LoopInvocation` nodes from the columns on every call, as a
+read-only view for tests and tools: changing it changes nothing in the
+profile, and no evaluation reads it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from ..errors import FrameworkError
 
 
 class LoopInvocation:
-    """One dynamic execution of a loop (entry to exit): the recorder's
-    node while a program runs, and a node of the read-only tree view
-    (only the view fills ``children``).
+    """One dynamic execution of a loop (entry to exit): a node of the
+    read-only tree view, built by :meth:`ProgramProfile._tree`.
 
     Iteration boundaries are the header-entry edges, so a loop whose body
     runs N times records N+1 iteration starts: the final header execution
@@ -61,37 +61,11 @@ class LoopInvocation:
         "children", "exited",
     )
 
-    def __init__(self, loop_id, parent, parent_iter, start_ts):
-        self.loop_id = loop_id
-        self.parent = parent
-        self.parent_iter = parent_iter
-        self.iter_starts = [start_ts]
-        self.end_ts = start_ts
-        # consumer iteration -> latest producer iteration observed for it.
-        # The latest producer is the binding constraint: a Partial-DOALL
-        # phase break before it commits every earlier producer too.
-        self.conflict_pairs = {}
-        self.max_mem_skew = 0.0
-        self.conflict_count = 0
-        self.lcd_values = {}
-        self.lcd_def_offsets = {}
-        self.lcd_use_offsets = {}
-        self.children = []
-        self.exited = False
-
     # -- derived quantities -------------------------------------------------------
 
     @property
     def num_iterations(self):
         return len(self.iter_starts)
-
-    @property
-    def current_iter(self):
-        return len(self.iter_starts) - 1
-
-    @property
-    def start_ts(self):
-        return self.iter_starts[0]
 
     @property
     def serial_cost(self):
@@ -106,19 +80,6 @@ class LoopInvocation:
         ]
         costs.append(self.end_ts - starts[-1])
         return costs
-
-    def record_conflict(self, producer_iter, producer_ts, consumer_iter, consumer_ts):
-        """Aggregate one cross-iteration RAW manifestation."""
-        self.conflict_count += 1
-        previous = self.conflict_pairs.get(consumer_iter, -1)
-        if producer_iter > previous:
-            self.conflict_pairs[consumer_iter] = producer_iter
-        producer_off = producer_ts - self.iter_starts[producer_iter]
-        consumer_off = consumer_ts - self.iter_starts[consumer_iter]
-        distance = consumer_iter - producer_iter
-        skew = (producer_off - consumer_off) / distance
-        if skew > self.max_mem_skew:
-            self.max_mem_skew = skew
 
     def __repr__(self):
         return (
@@ -246,8 +207,8 @@ RECORD_COLUMNS = (
 _EMPTY_COLUMNS = {dtype: _frozen(np.zeros(0, dtype=dtype))
                   for dtype in (np.int64, np.float64, np.bool_)}
 
-#: The per-invocation fields of a tree node or of the JSON form, from
-#: which :meth:`ProgramProfile.from_fields` builds the columns.
+#: The per-invocation fields of a recorder record, a tree node or the JSON
+#: form, from which :meth:`ProgramProfile.from_fields` builds the columns.
 FIELDS = (
     "loop_id", "parent_iter", "iter_starts", "end_ts", "conflict_pairs",
     "max_mem_skew", "conflict_count", "exited", "lcd_values",
@@ -289,8 +250,9 @@ class ProgramProfile:
     @classmethod
     def from_invocations(cls, name, invocations, parents, total_cost, result,
                          call_sites):
-        """Flatten a recorder's :class:`LoopInvocation` nodes, given in
-        entry order with each one's parent entry (or -1)."""
+        """Flatten a recorder's invocation records, each carrying the
+        attributes of :data:`FIELDS`, given in entry order with each one's
+        parent entry (or -1)."""
         fields = {field: list(map(operator.attrgetter(field), invocations))
                   for field in FIELDS}
         return cls.from_fields(name, fields, parents, total_cost, result,
@@ -460,8 +422,7 @@ class ProgramProfile:
         )
         for (loop, parent_iter, low, n, end_ts, pair_low, pair_count, skew,
              conflicts, exited) in columns:
-            # Every slot is set here, so skip __init__'s empty containers.
-            node = LoopInvocation.__new__(LoopInvocation)
+            node = LoopInvocation()
             node.loop_id = self.loop_table[loop]
             node.parent = None
             node.parent_iter = parent_iter

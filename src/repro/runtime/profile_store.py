@@ -39,9 +39,10 @@ Code-cache keys come from :func:`repro.interp.codegen.jit_cache_key`.
 under ``<REPRO_CACHE_DIR>/code``. Unset, they live in
 ``~/.cache/repro/profiles`` and ``~/.cache/repro/code``. A store counts,
 clears and evicts only files named like entries, so other files in the
-directory are left alone; ``clear`` also removes the entries of the
-earlier JSON layout (``<key>.json``). :func:`default_store` and
-:func:`default_code_cache` read the variable on every call.
+directory are left alone; ``info`` also counts, and ``clear`` also
+removes, the entries of the earlier JSON layout (``<key>.json``).
+:func:`default_store` and :func:`default_code_cache` read the variable on
+every call.
 """
 
 from __future__ import annotations
@@ -225,20 +226,17 @@ class _Store:
         except OSError:
             return []
 
-    def size_bytes(self):
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+    def earlier_entries(self):
+        """Paths of the entries the earlier JSON layout left, the files
+        named ``<64 lowercase hex digits>.json``: never read, but counted
+        by :meth:`info` and deleted by :meth:`clear`."""
+        return self._named(_LEGACY_NAME)
 
     def clear(self):
-        """Delete every entry, and every entry of the earlier JSON layout
-        (``<64 hex>.json``); returns the number removed."""
+        """Delete every entry, and every entry of the earlier JSON layout;
+        returns the number removed."""
         removed = 0
-        for path in self.entries() + self._named(_LEGACY_NAME):
+        for path in self.entries() + self.earlier_entries():
             try:
                 path.unlink()
                 removed += 1
@@ -248,12 +246,21 @@ class _Store:
 
     def info(self):
         """On-disk state plus this process's counters, for ``repro cache``
-        and run manifests."""
+        and run manifests. ``entries`` plus ``earlier_entries`` is what
+        :meth:`clear` would remove, and ``size_bytes`` their size."""
         entries = self.entries()
+        earlier = self.earlier_entries()
+        size = 0
+        for path in entries + earlier:
+            try:
+                size += path.stat().st_size
+            except OSError:
+                pass
         return {
             "root": str(self.root),
             "entries": len(entries),
-            "size_bytes": self.size_bytes(),
+            "earlier_entries": len(earlier),
+            "size_bytes": size,
             "schema": self.schema,
             **self.stats.as_dict(),
         }

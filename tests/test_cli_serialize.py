@@ -153,9 +153,9 @@ class TestCLI:
 
     def test_cache_commands_leave_foreign_files_alone(self, tmp_path,
                                                       monkeypatch):
-        """Only files named like entries (a sha256 key plus ``.json``) are
-        counted and cleared; anything else in the cache directories is
-        not the cache's to delete."""
+        """Only files named like entries (a sha256 key plus ``.entry``)
+        are counted and cleared; anything else in the cache directories
+        is not the cache's to delete."""
         from repro.runtime.profile_store import CodeCache, ProfileStore
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -174,6 +174,29 @@ class TestCLI:
         assert "removed 1 entries from the profile store" in text
         assert "removed 1 entries from the code cache" in text
         assert all(path.read_text() == "{}" for path in foreign)
+
+    def test_cache_info_counts_what_clear_removes(self, tmp_path,
+                                                  monkeypatch):
+        """An entry of the earlier JSON layout is shown by ``info`` and
+        removed by ``clear``, which agree on the count and the size; a
+        ``notes.json`` beside it is neither."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        earlier = tmp_path / ("ab" * 32 + ".json")
+        earlier.write_text('{"profile": {}}')
+        notes = tmp_path / "notes.json"
+        notes.write_text("{}")
+
+        code, text = run_cli("cache", "info")
+        assert code == 0
+        store_info = text.split("code cache at")[0]
+        assert "  entries: 0\n" in store_info
+        assert "  earlier-layout entries: 1 (removed by clear)\n" in store_info
+        assert f"  size:    {len(earlier.read_bytes())} bytes\n" in store_info
+        code, text = run_cli("cache", "clear")
+        assert code == 0
+        assert "removed 1 entries from the profile store" in text
+        assert not earlier.exists()
+        assert notes.read_text() == "{}"
 
 
 class TestSerialization:

@@ -29,13 +29,15 @@ class TestAddressSpace:
 
     def test_release_pops_allocations(self):
         space = AddressSpace()
-        a = space.allocate(4, 0, {"x": 1})
-        b = space.allocate(4, 0, {"y": 2})
-        assert space.marks_for(b) == {"y": 2}
+        a = space.allocate(4, 0, 1)
+        b = space.allocate(4, 0, 2)
+        assert space.birth_of(b + 3) == 2
         space.release_to(b)
         with pytest.raises(Exception):
             space.load(b)
-        assert space.marks_for(a) == {"x": 1}
+        assert space.birth_of(a) == 1
+        c = space.allocate(4, 0, 5)
+        assert c == b and space.birth_of(c) == 5
 
     def test_reallocation_zeroes(self):
         space = AddressSpace()
@@ -46,7 +48,7 @@ class TestAddressSpace:
         assert a2 == a
         assert space.load(a2) == 0
 
-    def test_marks_for_globals_is_none(self):
+    def test_globals_are_born_at_epoch_zero(self):
         space = AddressSpace()
 
         class FakeGlobal:
@@ -54,7 +56,7 @@ class TestAddressSpace:
                 return [0] * 4
 
         space.add_global(FakeGlobal())
-        assert space.marks_for(1) is None
+        assert space.birth_of(1) == 0
 
     def test_nan_and_signed_zero_round_trip(self):
         space = AddressSpace()

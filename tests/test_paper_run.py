@@ -1,6 +1,6 @@
 """The full paper run's soundness gate: ``paper_violations`` over
-hand-built reports, and ``repro figures`` exiting 1 on a violation while
-still printing every section."""
+hand-built reports, why it needs no advisor check, and ``repro figures``
+exiting 1 on a violation while still printing every section."""
 
 import io
 
@@ -9,8 +9,12 @@ import pytest
 from repro.analysis.depend import VERDICT_DOALL, VERDICT_UNKNOWN, LoopDependence
 from repro.cli import main
 from repro.reporting import experiments
-from repro.reporting.advisor import AdvisorReport, LoopAdvice
-from repro.reporting.crosscheck import CrosscheckReport, CrosscheckRow
+from repro.reporting.advisor import advise_suites
+from repro.reporting.crosscheck import (
+    CrosscheckReport,
+    CrosscheckRow,
+    crosscheck_suites,
+)
 from repro.reporting.experiments import paper_violations
 from repro.runtime.telemetry import list_runs
 
@@ -36,31 +40,36 @@ def _crosscheck(proved=2, unknown=3, unsound=0):
     return CrosscheckReport(rows)
 
 
-def _advice(conflicts=0):
-    return AdvisorReport([LoopAdvice(
-        "prog", "f.proved0", 1, "@parallel", ["scev: trip 10"],
-        conflicts=conflicts, invocations=1, joined=True)])
-
-
 class TestPaperViolations:
     def test_clean_reports_yield_none(self):
         # 2 of 5 loops resolved: exactly at the 40% floor, which passes.
-        assert paper_violations(_crosscheck(), _advice()) == []
+        assert paper_violations(_crosscheck()) == []
 
     def test_unsound_static_doall(self):
         report = _crosscheck(proved=3, unsound=1)
         assert report.rows[0].category == "unsound-static-doall"
-        assert paper_violations(report, _advice()) == [
+        assert paper_violations(report) == [
             "unsound STATIC_DOALL: prog f.bad0 had 7 dynamic conflict(s)"]
 
-    def test_advised_parallel_loop_with_a_conflict(self):
-        assert paper_violations(_crosscheck(), _advice(conflicts=3)) == [
-            "unsound advice: prog f.proved0 advised @parallel but had 3 "
-            "dynamic conflict(s)"]
+    def test_advised_parallel_loops_are_static_doall_rows(self, runner):
+        """Why the gate has no advisor check: every advised
+        ``@parallel``/``@reduce`` loop of the bundled suite is a
+        ``STATIC_DOALL`` crosscheck row with the same conflicts and
+        invocations, so an advised loop that conflicted is already an
+        unsound ``STATIC_DOALL``."""
+        rows = {(row.program, row.loop_id): row
+                for row in crosscheck_suites(runner).rows}
+        advised = [advice for advice in advise_suites(
+            runner, crosscheck=True).advices if advice.advises_parallel]
+        assert advised
+        for advice in advised:
+            row = rows[(advice.program, advice.loop_id)]
+            assert row.verdict == VERDICT_DOALL, advice.loop_id
+            assert (row.conflicts, row.invocations) == (
+                advice.conflicts, advice.invocations), advice.loop_id
 
     def test_resolved_share_below_the_floor(self):
-        violations = paper_violations(_crosscheck(proved=1, unknown=2),
-                                      _advice())
+        violations = paper_violations(_crosscheck(proved=1, unknown=2))
         assert violations == [
             "only 1/3 loops resolved statically, below the 40% floor"]
 

@@ -2,10 +2,22 @@
 
 from repro.core import Loopapalooza
 
+from helpers import on_all_backends
+
 
 def profile_of(source, name="t"):
     lp = Loopapalooza(source, name)
     return lp, lp.profile()
+
+
+def conflicts_on_all_backends(source):
+    """``(conflict_count, conflict_pairs, max_mem_skew)`` of the one
+    top-level invocation of ``source``, equal on every backend."""
+    def run(backend):
+        [inv] = Loopapalooza(source, "t", backend=backend).profile().top_level
+        return inv.conflict_count, inv.conflict_pairs, inv.max_mem_skew
+
+    return on_all_backends(run)
 
 
 class TestInvocationTree:
@@ -216,6 +228,54 @@ class TestCactusStackPrivatization:
         inv = profile.top_level[0]
         assert inv.conflict_count == 0
 
+    def test_storage_born_after_a_write_never_conflicts_with_it(self):
+        """Each call's ``tmp`` takes the slots the previous iteration's
+        call wrote, and reads them before writing: the write it sees was
+        made before the storage was born, so it is no loop-carried
+        dependence (the test above writes first, so it cannot tell)."""
+        count, pairs, _ = conflicts_on_all_backends(
+            """
+            int helper(int x) {
+              int tmp[4];
+              int r = tmp[0];
+              tmp[0] = x;
+              return r + tmp[0];
+            }
+            int OUT[32];
+            int main() {
+              int i;
+              for (i = 0; i < 32; i = i + 1) { OUT[i] = helper(i); }
+              return OUT[3];
+            }
+            """
+        )
+        assert (count, pairs) == (0, {})
+
+    def test_storage_escaping_its_iteration_is_not_private(self):
+        """A loop-body array lives until its function returns, so a later
+        iteration can read it through a pointer: that read sees the
+        earlier iteration's write, a loop-carried dependence like any
+        other, although the array was born inside the writing
+        iteration."""
+        count, pairs, _ = conflicts_on_all_backends(
+            """
+            int f(int *p, int n) {
+              int i;
+              int s = 0;
+              for (i = 0; i < n; i = i + 1) {
+                int t[2];
+                if (i > 0) { s = s + p[0]; }
+                t[0] = i;
+                p = &t[0];
+              }
+              return s;
+            }
+            int A[2];
+            int main() { return f(A, 4); }
+            """
+        )
+        assert (count, pairs) == (3, {1: 0, 2: 1, 3: 2})
+
     def test_loop_body_alloca_is_private(self):
         lp, profile = profile_of(
             """
@@ -248,6 +308,32 @@ class TestCactusStackPrivatization:
         )
         inv = profile.top_level[0]
         assert inv.conflict_count > 0  # buf belongs to the pre-loop frame
+
+
+class TestConflictAttribution:
+    def test_write_at_an_iteration_boundary_belongs_to_its_iteration(self):
+        """``memset_i32`` ends the loop body, so its memory events carry
+        the cost counter after the call's charge, which is the next
+        iteration's start timestamp. Each write still belongs to the
+        iteration that made it: every later iteration reads the previous
+        one's write."""
+        count, pairs, skew = conflicts_on_all_backends(
+            """
+            int A[8];
+            int main() {
+              int i;
+              int s = 0;
+              for (i = 0; i < 16; i = i + 1) {
+                s = s + A[0];
+                memset_i32(A, i, 8);
+              }
+              return s;
+            }
+            """
+        )
+        assert count == 15
+        assert pairs == {k: k - 1 for k in range(1, 16)}
+        assert skew == 5.0
 
 
 class TestRegisterLCDRecording:

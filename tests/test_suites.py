@@ -1,5 +1,10 @@
 """Benchmark-suite integrity tests: every synthetic program compiles,
-verifies, runs deterministically, and exhibits its designed traits."""
+verifies, runs deterministically, records the pinned profile, and
+exhibits its designed traits."""
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -19,8 +24,18 @@ from repro.bench.program import (
 from repro.core import BEST_HELIX, BEST_PDOALL, LPConfig
 from repro.core.static_info import CALL_UNSAFE
 from repro.ir import verify_module
+from repro.runtime.serialize import profile_to_dict
 
 ALL = all_programs()
+
+#: The per-program digests the benchmark's expected file pins (only read).
+EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "expected" / "paper.json"
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(EXPECTED.read_text())["programs"]
 
 
 class TestRegistry:
@@ -72,6 +87,27 @@ class TestEveryProgram:
         result, cost, _ = lp.run_uninstrumented()
         assert result == lp.profile().result
         assert cost == lp.profile().total_cost
+
+    def test_profile_matches_the_pinned_digest(self, program, runner,
+                                               pinned):
+        """The serialized profile, result, output and dynamic instruction
+        count equal what ``perfbench/expected/paper.json`` pins, so a
+        profile change that moves no figure fails here too. CI's tier-1
+        starts from an empty profile store, so there this checks freshly
+        recorded profiles, at no extra profiling cost (the shared
+        ``runner`` fixture profiles every program anyway); a warm store's
+        profiles are checked as loaded."""
+        lp = runner.instance(program)
+        profile = lp.profile()
+        serialized = json.dumps(profile_to_dict(profile), sort_keys=True,
+                                separators=(",", ":"))
+        assert {
+            "result": profile.result,
+            "output": list(lp.output),
+            "ir_instructions": profile.total_cost,
+            "profile_sha256": hashlib.sha256(
+                serialized.encode()).hexdigest(),
+        } == pinned[program.full_name]
 
 
 class TestTraits:
