@@ -3,16 +3,13 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir transform-report fuzz-smoke fuzz-report bench figures examples clean
+.PHONY: install test transform-report fuzz-smoke fuzz-report bench figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
 
 test:
 	pytest tests/
-
-lint-ir:
-	python -m repro lint --bench all
 
 transform-report:
 	python tools/transform_report.py

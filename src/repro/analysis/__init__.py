@@ -2,8 +2,8 @@
 
 CFG utilities, dominators (Cooper-Harvey-Kennedy), natural-loop detection,
 scalar evolution (the paper's SCEV-based "computable LCD" classifier),
-reduction recurrence detection, function purity, the call graph, the static
-loop-carried memory dependence engine, and the lint diagnostics framework.
+reduction recurrence detection, function purity, the call graph, and the
+static loop-carried memory dependence engine.
 """
 
 from .callgraph import CallGraph

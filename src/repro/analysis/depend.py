@@ -38,8 +38,8 @@ cross-iteration RAW conflict in the dynamic profile, under any backend.
 
 The register half of Table I lives here too: :func:`classify_header_phis`
 re-derives the computable / reduction / non-computable split for a loop's
-header phis purely from ``scev.py`` + ``reduction.py`` so that
-``core.static_info`` and the lint/crosscheck layer share one classifier.
+header phis purely from ``scev.py`` + ``reduction.py``, and
+``core.static_info`` records its classes for the census and the advisor.
 """
 
 from __future__ import annotations

@@ -6,10 +6,6 @@ Commands:
   cost, and any ``print_*`` output.
 * ``census FILE``     — the Table-I view: per-loop phi and call-site
   classification.
-* ``lint``            — run the static diagnostics (IR well-formedness,
-  instrumentation consistency, suspicious loop shapes) on a MiniC file or
-  on shipped benchmarks (``--bench all`` / ``--bench suite/name``); exits
-  non-zero iff any error-severity diagnostic fires.
 * ``crosscheck``      — join static dependence verdicts against dynamic
   profiles (a FILE or the bench suites) and print the agreement table;
   exits non-zero if any statically-proved DOALL loop conflicted
@@ -25,8 +21,10 @@ Commands:
   byte-equality of its profiles on the reference interpreter and the
   jit/vec tiers, transform observational safety, static-DOALL
   soundness, no runtime fault), delta-minimize and quarantine any
-  disagreement under ``fuzz_corpus/``; ``--replay CASE`` re-runs one
-  quarantined reproducer.
+  disagreement in the corpus (``fuzz_corpus/``, or the directory
+  ``REPRO_FUZZ_CORPUS`` names); ``--replay CASE`` re-runs one
+  quarantined reproducer. ``--count`` and ``--time-budget`` must be
+  above 0.
 * ``evaluate FILE``   — evaluate one or more configurations (``--config``,
   repeatable; defaults to the paper's 14).
 * ``diagnose FILE``   — per-loop relaxation ladder: the first configuration
@@ -168,7 +166,7 @@ def _cmd_figures(args, out):
     """The full paper run (or, with ``--suite``, one suite's speedups).
     Exits 1 if the run's own crosscheck or advisor report shows a
     soundness violation; everything is printed either way."""
-    from .bench.suites import SuiteRunner
+    from .bench.suites import SuiteRunner, suite_programs
     from .reporting.experiments import (
         PAPER_HEADLINES,
         format_experiments_md,
@@ -186,6 +184,7 @@ def _cmd_figures(args, out):
     if args.suite:
         from .reporting.stats import geomean
 
+        suite_programs(args.suite)  # an unknown suite fails before output
         print(f"{'configuration':30s}{'geomean speedup':>18s}", file=out)
         for config in paper_configurations():
             speedups = runner.suite_speedups(args.suite, config)
@@ -375,49 +374,6 @@ def _cmd_vec_report(args, out):
     return 0
 
 
-def _lint_targets(args):
-    """``(name, Loopapalooza)`` pairs for lint/crosscheck file-or-bench
-    selection."""
-    if args.bench:
-        from .bench import SuiteRunner, all_programs, find_program
-        from .bench.suites import ALL_SUITES, suite_programs
-
-        runner = SuiteRunner()
-        if args.bench == "all":
-            programs = all_programs()
-        elif args.bench in ALL_SUITES:
-            programs = suite_programs(args.bench)
-        else:
-            programs = [find_program(args.bench)]
-        return [(p.full_name, runner.instance(p)) for p in programs]
-    if args.file:
-        return [(args.file, _load(args.file, args.fuel))]
-    return None
-
-
-def _cmd_lint(args, out):
-    from .analysis.lint import (
-        ERROR,
-        LintContext,
-        format_diagnostics,
-        run_lint,
-    )
-
-    targets = _lint_targets(args)
-    if targets is None:
-        print("error: `repro lint` needs a FILE or --bench", file=sys.stderr)
-        return 2
-    exit_code = 0
-    for name, lp in targets:
-        diagnostics = run_lint(LintContext.for_program(lp))
-        if args.errors_only:
-            diagnostics = [d for d in diagnostics if d.severity == ERROR]
-        print(format_diagnostics(diagnostics, name=name), file=out)
-        if any(d.severity == ERROR for d in diagnostics):
-            exit_code = 1
-    return exit_code
-
-
 def _cmd_transform(args, out):
     """Before/after view of the structural-transform pipeline
     (fission/peeling/fusion): which loops gained a DOALL proof."""
@@ -477,7 +433,7 @@ def _cmd_fuzz(args, out):
     from .runtime.telemetry import RunTelemetry, format_run_summary
 
     if args.replay:
-        case = load_case(args.replay, root=args.corpus_dir)
+        case = load_case(args.replay)
         if case is None:
             print(f"error: no quarantined case {args.replay!r} "
                   f"(looked in the corpus and as a path)", file=sys.stderr)
@@ -501,7 +457,6 @@ def _cmd_fuzz(args, out):
         count=args.count,
         profile=args.profile,
         time_budget=args.time_budget,
-        corpus_dir=args.corpus_dir,
         telemetry=telemetry,
         shrink=not args.no_shrink,
         log=lambda message: print(message, file=out),
@@ -560,6 +515,20 @@ def _cmd_advise(args, out):
     return 1 if report.unsound else 0
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, refused unless above zero, so a
+    bad value exits 2 before any work is done."""
+
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -576,7 +545,6 @@ def build_parser():
         ("evaluate", _cmd_evaluate, True),
         ("diagnose", _cmd_diagnose, True),
         ("calltls", _cmd_calltls, True),
-        ("lint", _cmd_lint, False),
         ("crosscheck", _cmd_crosscheck, False),
         ("advise", _cmd_advise, False),
         ("fuzz", _cmd_fuzz, False),
@@ -591,18 +559,6 @@ def build_parser():
         sub.set_defaults(handler=handler)
         if needs_file:
             sub.add_argument("file", help="MiniC source file")
-        if name == "lint":
-            sub.add_argument("file", nargs="?", default=None,
-                             help="MiniC source file")
-            sub.add_argument(
-                "--bench", default=None, metavar="NAME",
-                help="lint shipped benchmarks instead of a file: "
-                     "'suite/name', a whole suite, or 'all'",
-            )
-            sub.add_argument(
-                "--errors-only", action="store_true",
-                help="show only error-severity diagnostics",
-            )
         if name == "transform":
             sub.add_argument("file", nargs="?", default=None,
                              help="MiniC source file (default: all bench "
@@ -661,11 +617,12 @@ def build_parser():
                 help="first generator seed (default: 0)",
             )
             sub.add_argument(
-                "--count", type=int, default=100,
+                "--count", type=_positive(int), default=100,
                 help="number of consecutive seeds to fuzz (default: 100)",
             )
             sub.add_argument(
-                "--time-budget", type=float, default=None, metavar="SECONDS",
+                "--time-budget", type=_positive(float), default=None,
+                metavar="SECONDS",
                 help="stop starting new cases after this much wall time",
             )
             sub.add_argument(
@@ -678,11 +635,6 @@ def build_parser():
                 help="re-run the oracle on one quarantined case (a case id "
                      "like mixed-s7-backends, or a path to its JSON file); "
                      "exits 1 while the case still reproduces",
-            )
-            sub.add_argument(
-                "--corpus-dir", default=None,
-                help="quarantine corpus directory (default: ./fuzz_corpus "
-                     "or REPRO_FUZZ_CORPUS)",
             )
             sub.add_argument(
                 "--no-shrink", action="store_true",

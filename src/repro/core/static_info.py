@@ -223,8 +223,7 @@ class ModuleStaticInfo:
             self.loops[loop.loop_id] = static
             if loop.single_latch() is None:
                 # loop-simplify never merges backedges, so this shape is
-                # terminal — report it distinctly (LP205) rather than as
-                # a generic unsimplified loop.
+                # terminal: name it apart from a loop without a preheader.
                 static.trackable = False
                 static.untrackable_reason = "multi-latch"
                 continue

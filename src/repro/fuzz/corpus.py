@@ -1,8 +1,8 @@
 """The quarantine corpus: minimized reproducers for oracle disagreements.
 
 Layout: one JSON file per case under the corpus root (default
-``fuzz_corpus/`` in the working directory, override with
-``REPRO_FUZZ_CORPUS`` or an explicit ``--corpus-dir``):
+``fuzz_corpus/`` in the working directory; ``REPRO_FUZZ_CORPUS`` places
+it for the CLI and the tools, and the library calls take a ``root=``):
 
 ``fuzz_corpus/<profile>-s<seed>-<oracle>.json``
     ``schema``            corpus layout version

@@ -1,9 +1,10 @@
-"""Diagnostics must be byte-identical across interpreter hash seeds.
+"""Per-loop reports must be byte-identical across interpreter hash seeds.
 
-Checker messages are built from stable names only — never from ``id()``
-values, hashes, or set iteration order. These tests run the real CLI in
-subprocesses with different ``PYTHONHASHSEED`` values and require the
-outputs to match byte for byte.
+The advisor's evidence lines (every reason a dependence verdict gives)
+and the crosscheck's joins are built from stable names only — never from
+``id()`` values, hashes, or set iteration order. These tests run the
+real CLI in subprocesses with different ``PYTHONHASHSEED`` values and
+require the outputs to match byte for byte.
 """
 
 import os
@@ -13,10 +14,13 @@ import tempfile
 
 import pytest
 
+from repro.bench import find_program
+
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-# A program with material for every layer: an UNKNOWN verdict (LP204),
-# a proven LCD with real dynamic conflicts, and a clean DOALL loop.
+# A program with material for every layer: an UNKNOWN verdict (the
+# advisor prints its reason as a `blocked:` line), a proven LCD with real
+# dynamic conflicts, and a clean DOALL loop.
 DEMO = """
 int A[128]; int B[64];
 int main() {
@@ -54,11 +58,11 @@ def demo_file(tmp_path_factory):
 
 
 class TestHashSeedIndependence:
-    def test_lint_output_identical_across_seeds(self, demo_file):
-        code0, out0 = run_cli(["lint", demo_file], seed=0)
-        code1, out1 = run_cli(["lint", demo_file], seed=1)
+    def test_advise_loops_identical_across_seeds(self, demo_file):
+        code0, out0 = run_cli(["advise", "--loops", demo_file], seed=0)
+        code1, out1 = run_cli(["advise", "--loops", demo_file], seed=1)
         assert code0 == code1 == 0
-        assert "LP204" in out0
+        assert "blocked:" in out0
         assert out0 == out1
 
     def test_crosscheck_output_identical_across_seeds(self, demo_file):
@@ -68,9 +72,14 @@ class TestHashSeedIndependence:
         assert "confirmed-lcd" in out0
         assert out0 == out1
 
-    def test_lint_bench_identical_across_seeds(self):
-        arguments = ["lint", "--bench", "eembc/viterbi_like"]
+    def test_advise_bench_identical_across_seeds(self, tmp_path):
+        # Several reasons block one loop here; all of them must print in
+        # the same order under every seed.
+        path = tmp_path / "viterbi_like.c"
+        path.write_text(find_program("eembc/viterbi_like").source)
+        arguments = ["advise", "--loops", str(path)]
         code0, out0 = run_cli(arguments, seed=7)
         code1, out1 = run_cli(arguments, seed=4242)
         assert code0 == code1 == 0
+        assert out0.count("blocked:") > 1
         assert out0 == out1

@@ -8,8 +8,11 @@ a guard against the bug coming back. Delete an entry only when the
 construct it exercises has left the language.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -132,6 +135,23 @@ def test_corpus_root_resolution(monkeypatch, tmp_path):
     assert corpus_root(tmp_path) == tmp_path  # explicit beats env
     monkeypatch.delenv("REPRO_FUZZ_CORPUS")
     assert corpus_root() == pathlib.Path("fuzz_corpus")
+
+
+def test_report_tool_reads_the_corpus_variable_only(tmp_path):
+    store_case(_sample_case(), tmp_path)
+    tool = REPO_CORPUS.parent / "tools" / "fuzz_report.py"
+    env = dict(os.environ, REPRO_FUZZ_CORPUS=str(tmp_path))
+    report = subprocess.run([sys.executable, str(tool)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert report.returncode == 0, report.stderr
+    assert "1 case(s)" in report.stdout
+    # A directory argument is refused, not silently replaced by the
+    # corpus the variable names.
+    refused = subprocess.run([sys.executable, str(tool), str(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+    assert refused.returncode == 2
+    assert refused.stdout == ""
 
 
 def test_load_cases_missing_directory_is_empty(tmp_path):

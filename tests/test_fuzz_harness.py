@@ -203,21 +203,37 @@ def _cli(argv):
     return cli.main(argv, out=io.StringIO())
 
 
-def test_cli_replay_missing_case_exits_2(tmp_path):
-    assert _cli(["fuzz", "--replay", "nope-s0-backends",
-                 "--corpus-dir", str(tmp_path)]) == 2
+def test_cli_replay_missing_case_exits_2(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_FUZZ_CORPUS", str(tmp_path))
+    assert _cli(["fuzz", "--replay", "nope-s0-backends"]) == 2
 
 
 def test_cli_campaign_exit_codes(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
     corpus = tmp_path / "corpus"
+    monkeypatch.setenv("REPRO_FUZZ_CORPUS", str(corpus))
     argv = ["fuzz", "--seed", "0", "--count", "1", "--profile", "affine",
-            "--corpus-dir", str(corpus), "--no-shrink"]
+            "--no-shrink"]
     assert _cli(argv) == 0
     with pytest.MonkeyPatch.context() as planted:
         _plant_jit_bug(planted)
         assert _cli(argv) == 1
     assert load_cases(corpus)[0].case_id == "affine-s0-backends"
+
+
+@pytest.mark.parametrize("option", [
+    "--count=0", "--count=-3", "--time-budget=0", "--time-budget=-1",
+])
+def test_cli_refuses_a_campaign_that_checks_nothing(monkeypatch, tmp_path,
+                                                    capsys, option):
+    # Such a campaign would report that every oracle agreed, so it must
+    # fail at parse time, before a run is recorded.
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+    with pytest.raises(SystemExit) as exited:
+        _cli(["fuzz", option])
+    assert exited.value.code == 2
+    assert "must be above 0" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_campaign_time_budget_zero_stops_immediately(tmp_path):

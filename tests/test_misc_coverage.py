@@ -105,6 +105,15 @@ class TestFigureHelpers:
         assert "helix:reduc1-dep1-fn2" in text
         assert text.count("x") >= 14
 
+    def test_cli_figures_unknown_suite_prints_nothing(self, capsys):
+        from repro.cli import main
+        import io
+
+        out = io.StringIO()
+        assert main(["figures", "--suite", "nosuch"], out=out) == 1
+        assert out.getvalue() == ""
+        assert "unknown suite 'nosuch'" in capsys.readouterr().err
+
     def test_cli_figures_suite_rejects_ledger_options(self, tmp_path,
                                                       monkeypatch, capsys):
         # --suite prints one suite's speedups and records no run, so the

@@ -12,7 +12,13 @@ from repro.core import (
     ModuleStaticInfo,
     build_instrumentation,
 )
+from repro.core.static_info import (
+    LoopStatic,
+    loop_static_from_dict,
+    loop_static_to_dict,
+)
 from repro.frontend import compile_source
+from repro.ir import I32, IRBuilder, Module
 
 
 def static_for(source):
@@ -147,6 +153,71 @@ class TestCallClasses:
         assert census["loops_with_calls"] == 4
         assert census["loops_with_unsafe_calls"] == 1
         assert census["computable_phis"] >= 5  # one IV per loop
+
+
+class TestUntrackableLoops:
+    """Hand-built loop shapes the frontend never emits: the static info
+    keeps them out of the census and says why."""
+
+    def test_multi_latch_loop_is_untrackable(self):
+        # Two blocks branch back to the header.
+        module = Module("latches")
+        f = module.add_function("f", I32, [])
+        entry = f.append_block("entry")
+        header = f.append_block("header")
+        body1 = f.append_block("body1")
+        body2 = f.append_block("body2")
+        exit_block = f.append_block("exit")
+        b = IRBuilder(entry)
+        b.br(header)
+        b.position_at_end(header)
+        iv = b.phi(I32, "i")
+        cond = b.icmp("slt", iv, b.const_int(10))
+        b.condbr(cond, body1, exit_block)
+        b.position_at_end(body1)
+        nxt = b.add(iv, b.const_int(1))
+        parity = b.icmp("eq", b.srem(nxt, b.const_int(2)), b.const_int(0))
+        b.condbr(parity, header, body2)
+        b.position_at_end(body2)
+        b.br(header)
+        iv.add_incoming(b.const_int(0), entry)
+        iv.add_incoming(nxt, body1)
+        iv.add_incoming(nxt, body2)
+        IRBuilder(exit_block).ret(iv)
+
+        (static,) = ModuleStaticInfo(module).loops.values()
+        assert not static.trackable
+        assert static.untrackable_reason == "multi-latch"
+
+    def test_loop_without_preheader_is_untrackable(self):
+        # A self-loop entered straight from the entry block, which also
+        # branches to the exit, so no block is a dedicated preheader.
+        module = Module("shape")
+        f = module.add_function("f", I32, [])
+        entry = f.append_block("entry")
+        header = f.append_block("header")
+        b = IRBuilder(entry)
+        cond = b.icmp("eq", b.const_int(0), b.const_int(0))
+        exit_block = f.append_block("exit")
+        b.condbr(cond, header, exit_block)
+        IRBuilder(header).br(header)
+        IRBuilder(exit_block).ret(b.const_int(0))
+
+        (static,) = ModuleStaticInfo(module).loops.values()
+        assert not static.trackable
+        assert static.untrackable_reason == "no-preheader"
+
+    def test_untrackable_reason_round_trips(self):
+        static = LoopStatic("f.header", "f", 1)
+        static.trackable = False
+        static.untrackable_reason = "multi-latch"
+        restored = loop_static_from_dict(loop_static_to_dict(static))
+        assert restored.untrackable_reason == "multi-latch"
+        assert not restored.trackable
+        # Entries written before the field existed stay loadable.
+        legacy = loop_static_to_dict(static)
+        del legacy["untrackable_reason"]
+        assert loop_static_from_dict(legacy).untrackable_reason is None
 
 
 class TestInstrumentationPlan:

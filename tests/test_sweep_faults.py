@@ -1,12 +1,15 @@
-"""A killed sweep is recovered by running it again.
+"""A killed sweep is recovered by running it again, and sweeps in two
+processes can share one profile store.
 
 Nothing but profiles outlives a sweep: evaluation results stay in memory,
 and the run manifest only counts them. A sweep killed part-way therefore
 leaves its finished profiles in the content-keyed profile store, and a
 fresh runner over that store measures only the missing ones and reports
-the same floats as an undisturbed run.
+the same floats as an undisturbed run. Entries are published atomically,
+so two sweeps writing the same keys at once leave whole entries only.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -40,6 +43,27 @@ runner = SuiteRunner(store=DiesAfterSecondStore(store_root))
 telemetry = RunTelemetry.create(root=runs_root)
 runner.evaluate_many(suite_programs("eembc")[:3], configs, telemetry=telemetry)
 telemetry.finish()
+"""
+
+
+#: A sweep over eembc[:3] that prints its results as JSON. It first waits
+#: at a barrier (a file per sweep in one directory), so that two of them
+#: start profiling together.
+SHARED_SWEEP = """
+import json, os, sys, time
+from repro.bench.suites import SuiteRunner, suite_programs
+from repro.runtime.profile_store import ProfileStore
+
+store_root, barrier, *configs = sys.argv[1:]
+runner = SuiteRunner(store=ProfileStore(store_root))
+open(os.path.join(barrier, str(os.getpid())), "w").close()
+deadline = time.monotonic() + 60
+while len(os.listdir(barrier)) < 2 and time.monotonic() < deadline:
+    time.sleep(0.01)
+grid = runner.evaluate_many(suite_programs("eembc")[:3], configs)
+print(json.dumps([[name, config, result.to_dict()]
+                  for name, row in grid.items()
+                  for config, result in row.items()]))
 """
 
 
@@ -81,4 +105,44 @@ class TestKilledRun:
         fresh = SuiteRunner(store=ProfileStore(store_root))
         grid = fresh.evaluate_many(_programs(), CONFIGS)
         assert fresh.profiles_measured == 1
+        assert _flat(grid) == baseline
+
+
+class TestConcurrentWriters:
+    def test_two_sweeps_share_one_store(self, tmp_path):
+        undisturbed = SuiteRunner(store=ProfileStore(tmp_path / "baseline"))
+        baseline = _flat(undisturbed.evaluate_many(_programs(), CONFIGS))
+
+        store_root, barrier = tmp_path / "store", tmp_path / "barrier"
+        barrier.mkdir()
+        env = dict(os.environ, PYTHONPATH=REPO_SRC,
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        sweeps = [
+            subprocess.Popen(
+                [sys.executable, "-c", SHARED_SWEEP, str(store_root),
+                 str(barrier), *CONFIGS],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env)
+            for _ in range(2)
+        ]
+        try:
+            for sweep in sweeps:
+                out, err = sweep.communicate(timeout=300)
+                assert sweep.returncode == 0, err
+                assert {(name, config): result
+                        for name, config, result in json.loads(out)} \
+                    == baseline
+        finally:
+            for sweep in sweeps:
+                sweep.kill()
+                sweep.wait()
+
+        store = ProfileStore(store_root)
+        assert len(store.entries()) == 3
+        assert sorted(path.name for path in store_root.iterdir()) == sorted(
+            path.name for path in store.entries())
+        fresh = SuiteRunner(store=store)
+        grid = fresh.evaluate_many(_programs(), CONFIGS)
+        assert fresh.profiles_measured == 0
+        assert store.stats.corrupt == 0
         assert _flat(grid) == baseline

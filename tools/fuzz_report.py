@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Quarantine-corpus state report for the differential fuzzer.
 
-Prints every case in the corpus (default ``fuzz_corpus/``, override with
-``REPRO_FUZZ_CORPUS`` or argv[1]) grouped by oracle and profile, with the
+Prints every case in the corpus (default ``fuzz_corpus/``, placed by
+``REPRO_FUZZ_CORPUS``) grouped by oracle and profile, with the
 pipeline fingerprint and grammar version each case was quarantined
 under, and flags entries whose grammar version no longer matches the
 current generator (the reproducer still replays — ``source`` is stored
@@ -10,7 +10,9 @@ verbatim — but the ``(seed, profile)`` pair will no longer regenerate
 it).
 
 Informational only: exit status is 0 unless an entry is damaged (it
-does not parse or lacks a field), which exits 1 naming the file. The
+does not parse or lacks a field), which exits 1 naming the file, or an
+argument is given, which exits 2 (the corpus is placed only by
+``REPRO_FUZZ_CORPUS``). The
 *gate* on corpus entries is ``tests/test_fuzz_corpus.py``, which replays
 every case and fails while any still reproduces. Run via ``make
 fuzz-report``.
@@ -27,7 +29,11 @@ from repro.fuzz.genprog import GEN_VERSION  # noqa: E402
 
 
 def main():
-    root = corpus_root(sys.argv[1] if len(sys.argv) > 1 else None)
+    if len(sys.argv) > 1:
+        print("usage: tools/fuzz_report.py (REPRO_FUZZ_CORPUS places the "
+              "corpus)", file=sys.stderr)
+        return 2
+    root = corpus_root()
     try:
         cases = load_cases(root)
     except ReproError as error:
