@@ -3,16 +3,13 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test transform-report fuzz-smoke fuzz-report bench figures examples clean
+.PHONY: install test fuzz-smoke fuzz-report figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
 
 test:
 	pytest tests/
-
-transform-report:
-	python tools/transform_report.py
 
 # Fixed-seed differential fuzzing campaign (~60s): exits non-zero if any
 # generated program trips an oracle and gets quarantined.
@@ -22,9 +19,6 @@ fuzz-smoke:
 
 fuzz-report:
 	python tools/fuzz_report.py
-
-bench:
-	pytest benchmarks/ --benchmark-only
 
 # The full paper run; exits non-zero if its crosscheck or advisor report
 # shows a soundness violation.

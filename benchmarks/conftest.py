@@ -2,9 +2,10 @@
 
 Figures 2-5 come from ``python -m repro figures``; these harnesses cover
 Fig. 1, Tables I-II (with the dynamic census), the ablations and the
-related-work comparisons. Profiling the 48 synthetic benchmarks once per
-session keeps the pytest-benchmark timings focused on the evaluation
-machinery. Each harness also writes its regenerated table under
+related-work comparisons. They are plain tests, run with
+``pytest benchmarks/ -q``, and time nothing: perfbench is the one timing
+harness. The 48 synthetic benchmarks are profiled once per test run and
+shared. Each harness also writes its regenerated table under
 ``benchmarks/out/`` (ignored by git) so the artifacts survive without
 ``-s``.
 """
@@ -22,13 +23,7 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 @pytest.fixture(scope="session")
 def runner():
-    shared = SuiteRunner()
-    # Pre-profile everything so per-figure timings measure evaluation only.
-    from repro.bench import all_programs
-
-    for program in all_programs():
-        shared.instance(program)
-    return shared
+    return SuiteRunner()
 
 
 @pytest.fixture(scope="session")

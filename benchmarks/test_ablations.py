@@ -5,7 +5,7 @@
 3. predictor ablation: each scheme alone vs perfect hybridization, on the
    register-LCD value streams recorded from the real suites.
 
-Run: ``pytest benchmarks/test_ablations.py --benchmark-only -s``
+Run: ``pytest benchmarks/test_ablations.py -s``
 """
 
 import pytest
@@ -27,7 +27,7 @@ from conftest import publish
 
 
 class TestHelixVsDoacross:
-    def test_multi_sync_beats_single_sync(self, benchmark, artifact_dir):
+    def test_multi_sync_beats_single_sync(self, artifact_dir):
         """HELIX generalizes DOACROSS with one sync per LCD; with one early
         and one late LCD the single sync must cover the whole span."""
 
@@ -43,7 +43,7 @@ class TestHelixVsDoacross:
                 rows.append((late_gap, helix.cost, doacross.cost))
             return rows
 
-        rows = benchmark(sweep)
+        rows = sweep()
         lines = ["Ablation — HELIX (per-LCD sync) vs single-sync DOACROSS",
                  f"{'LCD span':>10s}{'HELIX':>12s}{'DOACROSS':>12s}"]
         for gap, helix_val, doacross_val in rows:
@@ -54,7 +54,7 @@ class TestHelixVsDoacross:
 
 
 class TestPdoallThreshold:
-    def test_cutoff_sensitivity(self, benchmark, runner, artifact_dir):
+    def test_cutoff_sensitivity(self, runner, artifact_dir):
         """Sweep the 80 % conflicting-iteration cut-off and measure the
         non-numeric geomean at the best realistic PDOALL configuration."""
         import repro.runtime.cost_models as models
@@ -83,7 +83,7 @@ class TestPdoallThreshold:
                 models.PDOALL_SERIAL_THRESHOLD = original
             return results
 
-        rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+        rows = sweep()
         lines = ["Ablation — PDOALL serial cut-off sensitivity (specint2006, "
                  "reduc1-dep2-fn2)",
                  f"{'cutoff':>8s}{'geomean speedup':>18s}"]
@@ -97,7 +97,7 @@ class TestPdoallThreshold:
 
 
 class TestPredictorAblation:
-    def test_each_predictor_alone_vs_hybrid(self, benchmark, runner, artifact_dir):
+    def test_each_predictor_alone_vs_hybrid(self, runner, artifact_dir):
         """Measure per-scheme accuracy on the actual register-LCD value
         streams recorded while profiling the SPEC-like suites."""
 
@@ -130,7 +130,7 @@ class TestPredictorAblation:
             rows["perfect-hybrid"] = sum(hybrid_scores) / len(hybrid_scores)
             return rows
 
-        rows = benchmark(measure)
+        rows = measure()
         lines = [
             "Ablation — value-predictor accuracy on recorded LCD streams "
             f"({len(streams)} streams)",

@@ -1,7 +1,7 @@
 """Extension bench: function-call/continuation TLS potential per suite
 (the paper's §I note that its taxonomy also covers call-level TLS).
 
-Run: ``pytest benchmarks/test_call_tls.py --benchmark-only -s``
+Run: ``pytest benchmarks/test_call_tls.py -s``
 """
 
 from repro.bench import suite_programs
@@ -10,7 +10,7 @@ from repro.core.call_tls import estimate_call_tls
 from conftest import publish
 
 
-def test_call_tls_per_suite(benchmark, runner, artifact_dir):
+def test_call_tls_per_suite(runner, artifact_dir):
     def sweep():
         rows = []
         for suite in ("specint2000", "specint2006", "eembc",
@@ -25,7 +25,7 @@ def test_call_tls_per_suite(benchmark, runner, artifact_dir):
         rows.sort(key=lambda row: row[1], reverse=True)
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     lines = [
         "Extension — function-call/continuation TLS limit per benchmark",
         f"{'benchmark':36s}{'speedup':>10s}{'in-call time':>14s}",

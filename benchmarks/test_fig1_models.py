@@ -3,9 +3,9 @@
 Fig. 1 in the paper is a semantics diagram (DOALL / Partial-DOALL /
 DOACROSS-HELIX timelines). Its executable counterpart here drives the three
 cost models over a canonical conflict timeline and checks the relative
-outcomes the diagram depicts, while timing the model kernels.
+outcomes the diagram depicts.
 
-Run: ``pytest benchmarks/test_fig1_models.py --benchmark-only -s``
+Run: ``pytest benchmarks/test_fig1_models.py -s``
 """
 
 from repro.runtime.cost_models import (
@@ -31,8 +31,8 @@ def run_models():
     return doall, pdoall, helix
 
 
-def test_fig1_execution_models(benchmark, artifact_dir):
-    doall, pdoall, helix = benchmark(run_models)
+def test_fig1_execution_models(artifact_dir):
+    doall, pdoall, helix = run_models()
     serial = sum(ITER_COSTS)
     lines = [
         "Fig. 1 (reproduced) — execution-model semantics on one timeline",

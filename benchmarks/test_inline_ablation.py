@@ -7,7 +7,7 @@ and compares the *strictest* configuration, where calls serialize loops:
 inlining dissolves part of the constraint, but serial input phases and
 true dependences keep the rest.
 
-Run: ``pytest benchmarks/test_inline_ablation.py --benchmark-only -s``
+Run: ``pytest benchmarks/test_inline_ablation.py -s``
 """
 
 from repro.bench import suite_programs
@@ -31,7 +31,7 @@ STRICT = LPConfig("pdoall", 1, 2, 0)   # fn0: calls serialize
 LIBERAL = LPConfig("pdoall", 1, 2, 2)  # fn2: calls allowed
 
 
-def test_inlining_dissolves_part_of_fn_gap(benchmark, runner, artifact_dir):
+def test_inlining_dissolves_part_of_fn_gap(runner, artifact_dir):
     def sweep():
         rows = []
         for suite, name in CANDIDATES:
@@ -49,7 +49,7 @@ def test_inlining_dissolves_part_of_fn_gap(benchmark, runner, artifact_dir):
             ))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     lines = [
         "Ablation — inlining vs the fn axis (pdoall reduc1-dep2)",
         f"{'benchmark':28s}{'fn0':>9s}{'fn0+inline':>12s}{'fn2':>9s}",

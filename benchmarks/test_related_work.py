@@ -10,7 +10,7 @@ gaps on the synthetic suites:
 * **innermost-only** mode disables outer/nested parallelization;
 * **DOALL-family** configurations stand in for conflict-free-only models.
 
-Run: ``pytest benchmarks/test_related_work.py --benchmark-only -s``
+Run: ``pytest benchmarks/test_related_work.py -s``
 """
 
 from repro.bench import suite_programs
@@ -31,7 +31,7 @@ def sweep(runner, suites, config, innermost_only):
     return geomean(speedups)
 
 
-def test_nested_vs_innermost_only(benchmark, runner, artifact_dir):
+def test_nested_vs_innermost_only(runner, artifact_dir):
     suites = ("specint2000", "specint2006")
 
     def run():
@@ -42,7 +42,7 @@ def test_nested_vs_innermost_only(benchmark, runner, artifact_dir):
             rows.append((config.name, innermost, nested))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     lines = [
         "Related work (paper §V) — innermost-only (Kejariwal-style) vs "
         "LP's nested parallelization, non-numeric geomean",
@@ -62,7 +62,7 @@ def test_nested_vs_innermost_only(benchmark, runner, artifact_dir):
     assert pdoall_row[1] < 2.5
 
 
-def test_frequent_lcd_support_is_the_other_gap(benchmark, runner, artifact_dir):
+def test_frequent_lcd_support_is_the_other_gap(runner, artifact_dir):
     """SWARM supports no frequent LCDs (paper: 1.2x on frequent-LCD codes);
     HELIX's synchronization is what rescues them."""
     suites = ("specint2000", "specint2006")
@@ -74,7 +74,7 @@ def test_frequent_lcd_support_is_the_other_gap(benchmark, runner, artifact_dir):
         synchronized = sweep(runner, suites, BEST_HELIX, innermost_only=False)
         return conflict_free, synchronized
 
-    conflict_free, synchronized = benchmark.pedantic(run, rounds=1, iterations=1)
+    conflict_free, synchronized = run()
     lines = [
         "Related work — conflict-free-only vs frequent-LCD synchronization",
         f"  PDOALL reduc1-dep0-fn2 (no frequent-LCD support): {conflict_free:.2f}x",

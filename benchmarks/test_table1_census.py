@@ -3,7 +3,7 @@ ordering-constraint categories per suite (computable IVs/MIVs, reduction
 accumulators, non-computable register LCDs, loops with calls / unsafe
 calls).
 
-Run: ``pytest benchmarks/test_table1_census.py --benchmark-only -s``
+Run: ``pytest benchmarks/test_table1_census.py -s``
 """
 
 from repro.bench import ALL_SUITES
@@ -17,8 +17,8 @@ from repro.reporting import (
 from conftest import publish
 
 
-def test_table1_census(benchmark, runner, artifact_dir):
-    rows = benchmark(table1_census, runner)
+def test_table1_census(runner, artifact_dir):
+    rows = table1_census(runner)
     dynamic_rows = {
         suite: suite_dynamic_census(runner, suite) for suite in ALL_SUITES
     }

@@ -131,12 +131,6 @@ class Loop:
 
     # -- membership ---------------------------------------------------------------
 
-    def contains_block(self, block):
-        return block in self.blocks
-
-    def contains_instruction(self, instruction):
-        return instruction.parent in self.blocks
-
     def contains_loop(self, other):
         while other is not None:
             if other is self:

@@ -43,10 +43,6 @@ class SCEV:
         return False
 
     @property
-    def is_constant(self):
-        return isinstance(self, SCEVConstant)
-
-    @property
     def is_addrec(self):
         return isinstance(self, SCEVAddRec)
 

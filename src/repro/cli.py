@@ -54,6 +54,12 @@ Commands:
   ``show RUN_ID`` (the run manifest: tasks done, cache hits, outcome
   tallies), ``clean``. Runs are written by ``figures`` and ``fuzz``, under
   ``REPRO_RUNS_DIR``.
+
+A command that takes a FILE or a bench selection (``--suite``, ``--bench``)
+refuses both together with exit status 2. There are no global options: a
+FILE is profiled with :class:`~repro.core.framework.Loopapalooza`'s default
+instruction budget, the suites with :class:`~repro.bench.SuiteRunner`'s,
+and fuzz cases with the campaign's.
 """
 
 from __future__ import annotations
@@ -89,14 +95,14 @@ _CLASS_SHORT = {
 }
 
 
-def _load(path, fuel):
+def _load(path):
     with open(path) as handle:
         source = handle.read()
-    return Loopapalooza(source, name=path, fuel=fuel)
+    return Loopapalooza(source, name=path)
 
 
 def _cmd_run(args, out):
-    lp = _load(args.file, args.fuel)
+    lp = _load(args.file)
     profile = lp.profile()
     print(f"result: {profile.result}", file=out)
     print(f"dynamic IR instructions: {profile.total_cost}", file=out)
@@ -108,7 +114,7 @@ def _cmd_run(args, out):
 
 
 def _cmd_census(args, out):
-    lp = _load(args.file, args.fuel)
+    lp = _load(args.file)
     for loop_id in lp.loop_ids():
         static = lp.describe_loop(loop_id)
         print(f"loop {loop_id} (depth {static.depth})", file=out)
@@ -125,7 +131,7 @@ def _cmd_census(args, out):
 
 
 def _cmd_evaluate(args, out):
-    lp = _load(args.file, args.fuel)
+    lp = _load(args.file)
     configs = (
         [LPConfig.parse(text) for text in args.config]
         if args.config else paper_configurations()
@@ -142,7 +148,7 @@ def _cmd_evaluate(args, out):
 
 
 def _cmd_diagnose(args, out):
-    lp = _load(args.file, args.fuel)
+    lp = _load(args.file)
     lp.profile()
     verdicts = {loop_id: None for loop_id in lp.loop_ids()}
     for config_name, label in _LADDER:
@@ -305,7 +311,7 @@ def _cmd_runs(args, out):
 def _cmd_calltls(args, out):
     from .core.call_tls import estimate_call_tls, format_call_tls
 
-    lp = _load(args.file, args.fuel)
+    lp = _load(args.file)
     report = estimate_call_tls(lp.profile())
     print(format_call_tls(report), file=out)
     return 0
@@ -416,7 +422,7 @@ def _cmd_transform(args, out):
 
     rows = []
     for name, source in sources:
-        lp = Loopapalooza(source, name=name, fuel=args.fuel, transform=True)
+        lp = Loopapalooza(source, name=name, transform=True)
         rows.extend(crosscheck_program(lp, name))
     crosscheck = CrosscheckReport(rows)
     print(file=out)
@@ -441,7 +447,7 @@ def _cmd_fuzz(args, out):
         print(f"replaying {case.case_id} "
               f"(seed {case.seed}, profile {case.profile}, "
               f"quarantined oracle: {case.oracle})", file=out)
-        report = replay_case(case, fuel=args.fuel)
+        report = replay_case(case)
         print(report.describe(), file=out)
         if report.ok:
             print("case no longer reproduces on this pipeline — the "
@@ -477,7 +483,7 @@ def _cmd_crosscheck(args, out):
     )
 
     if args.file:
-        lp = _load(args.file, args.fuel)
+        lp = _load(args.file)
         report = CrosscheckReport(crosscheck_program(lp))
     else:
         from .bench import SuiteRunner
@@ -501,7 +507,7 @@ def _cmd_advise(args, out):
     )
 
     if args.file:
-        lp = _load(args.file, args.fuel)
+        lp = _load(args.file)
         report = AdvisorReport(
             advise_program(lp, crosscheck=args.crosscheck))
     else:
@@ -535,8 +541,6 @@ def build_parser():
         description="Loopapalooza: compiler-driven loop-level parallelism "
                     "limit study (ISPASS 2021 reproduction)",
     )
-    parser.add_argument("--fuel", type=int, default=200_000_000,
-                        help="dynamic IR instruction budget")
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, needs_file in (
@@ -691,6 +695,14 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "file", None) is not None:
+        # A FILE and a bench selection are two targets; run neither
+        # rather than silently drop one.
+        for option in ("suite", "bench"):
+            if getattr(args, option, None) is not None:
+                print(f"error: `repro {args.command}` takes a FILE or "
+                      f"--{option}, not both", file=sys.stderr)
+                return 2
     try:
         return args.handler(args, out)
     except ReproError as error:

@@ -35,11 +35,16 @@ class Loopapalooza:
     static classification is cross-checked against the freshly computed one;
     a mismatch (stale analysis code without a version bump) falls back to
     re-profiling.
+
+    Every input of the profile is an argument of this call: the source,
+    ``fuel``, ``inline`` and ``transform`` (the structural fission/peel/
+    fusion stage, off by default) make up the store key with the versions,
+    and no environment variable changes what is compiled or profiled.
     """
 
     def __init__(self, source, name="program", fuel=200_000_000,
                  verify_each=False, inline=False, store=None, backend="vec",
-                 transform=None):
+                 transform=False):
         self.name = name
         self.fuel = fuel
         self.source = source
@@ -47,10 +52,6 @@ class Loopapalooza:
         self.store = store
         #: Interpreter backend: "vec" (the default), "jit" or "closure".
         self.backend = backend
-        if transform is None:
-            from ..passes.pass_manager import transform_enabled
-
-            transform = transform_enabled()
         #: Structural-transform pipeline flag (fission/peel/fusion); part of
         #: the profile-store key because it changes the loop population.
         self.transform = bool(transform)

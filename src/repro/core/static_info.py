@@ -143,21 +143,6 @@ def census_of(loops):
     return counts
 
 
-class StaticInfoView:
-    """A deserialized static classification: the subset of
-    :class:`ModuleStaticInfo` that evaluation and the census need, without
-    a compiled module behind it (profile-cache warm starts)."""
-
-    def __init__(self, loops):
-        self.loops = loops
-
-    def census(self):
-        return census_of(self.loops)
-
-    def __repr__(self):
-        return f"<StaticInfoView {len(self.loops)} loops>"
-
-
 class ModuleStaticInfo:
     """Classification of every loop in a module, plus function purity."""
 

@@ -372,7 +372,7 @@ class CodeGenerator:
 
 
 def compile_source(source, module_name="program", optimize=True,
-                   verify_each=False, inline=False, transform=None):
+                   verify_each=False, inline=False, transform=False):
     """Compile MiniC source to an IR module.
 
     With ``optimize`` (the default) the standard pass pipeline runs, leaving
@@ -380,7 +380,7 @@ def compile_source(source, module_name="program", optimize=True,
     expects. ``inline`` additionally runs the (non-default) function inliner
     first — used by the inlining ablation, not by the study itself.
     ``transform`` opts the pipeline into the structural loop stage
-    (fission/peel/fusion); ``None`` defers to ``REPRO_TRANSFORM``.
+    (fission/peel/fusion).
     """
     program = parse(source)
     sema_result = analyze(program)

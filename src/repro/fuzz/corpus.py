@@ -33,7 +33,7 @@ import time
 
 from ..errors import ReproError
 from ..runtime.profile_store import publish
-from .harness import run_oracles
+from .harness import DEFAULT_FUEL, run_oracles
 
 CORPUS_SCHEMA = 1
 
@@ -163,13 +163,11 @@ def _load_path(path):
         ) from None
 
 
-def replay_case(case, fuel=None):
-    """Re-run every oracle on a case's minimized reproducer.
+def replay_case(case, fuel=DEFAULT_FUEL):
+    """Re-run every oracle on a case's minimized reproducer, by default at
+    the campaign's instruction budget, the one it was quarantined at.
 
     Returns the fresh :class:`~repro.fuzz.harness.OracleReport`; the case
     is *fixed* when the report is ok, and still *reproduces* otherwise.
     """
-    from .harness import DEFAULT_FUEL
-
-    return run_oracles(case.source, name=case.case_id,
-                       fuel=fuel if fuel is not None else DEFAULT_FUEL)
+    return run_oracles(case.source, name=case.case_id, fuel=fuel)

@@ -27,17 +27,6 @@ from .genprog import LoopSpec
 MAX_ROUNDS = 6
 
 
-def _loops(spec):
-    """(container, loop) pairs for every loop, outer before inner."""
-    out = []
-    for block in spec.blocks:
-        if isinstance(block, LoopSpec):
-            out.append(block)
-            if block.inner is not None:
-                out.append(block.inner)
-    return out
-
-
 def _try(spec, mutate, still_fails):
     """Apply ``mutate`` to a clone; keep it when the oracle still fires."""
     candidate = spec.clone()

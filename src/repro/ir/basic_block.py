@@ -108,12 +108,6 @@ class BasicBlock:
             if not isinstance(instruction, Phi):
                 yield instruction
 
-    def first_non_phi(self):
-        for instruction in self.instructions:
-            if not isinstance(instruction, Phi):
-                return instruction
-        return None
-
     def __iter__(self):
         return iter(self.instructions)
 

@@ -77,9 +77,6 @@ class Instruction(Value):
     def function(self):
         return self.parent.parent if self.parent is not None else None
 
-    def may_read_memory(self):
-        return isinstance(self, (Load, Call))
-
     def may_write_memory(self):
         return isinstance(self, (Store, Call))
 

@@ -12,10 +12,14 @@ in tests; off by default for speed in large sweeps). Setting the
 verification everywhere — CI runs the full suite under it — and verifier
 failures are attributed to the stage that introduced them.
 
-With ``transform=True`` (or ``REPRO_TRANSFORM=1``) the opt-in structural
-stage runs after canonicalization:
+With ``transform=True`` the opt-in structural stage runs after
+canonicalization:
 
     fission -> peel -> fusion -> loop-simplify -> dce
+
+The argument is the only switch: no environment variable turns the stage
+on, so what a module compiles to depends on the call alone (verification
+adds checks, never changes the IR).
 
 Each stage boundary *explicitly invalidates* every live CFG/LoopInfo
 snapshot of the module: a pass that cached an analysis across a mutation
@@ -80,11 +84,6 @@ def verify_passes_forced():
     return os.environ.get("REPRO_VERIFY_PASSES", "0") not in ("", "0")
 
 
-def transform_enabled():
-    """Is the structural transform stage opted in via ``REPRO_TRANSFORM``?"""
-    return os.environ.get("REPRO_TRANSFORM", "0") not in ("", "0")
-
-
 def pipeline_fingerprint(transform):
     """A short stable token naming the pipeline configuration that produced
     a module. Folded into code-cache keys (see ``interp.codegen``): two
@@ -104,16 +103,13 @@ def _checkpoint(module, stage):
         ) from None
 
 
-def run_standard_pipeline(module, verify_each=False, transform=None):
+def run_standard_pipeline(module, verify_each=False, transform=False):
     """Run the study's compilation pipeline on ``module`` in place.
 
-    ``transform`` opts into the structural stage (fission/peel/fusion);
-    ``None`` defers to the ``REPRO_TRANSFORM`` environment variable.
+    ``transform`` opts into the structural stage (fission/peel/fusion).
     """
     result = PipelineResult()
     verify_each = verify_each or verify_passes_forced()
-    if transform is None:
-        transform = transform_enabled()
 
     def checkpoint(stage):
         # Every pass just mutated the IR: any CFG/LoopInfo snapshot built

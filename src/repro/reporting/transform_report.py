@@ -11,10 +11,11 @@ reports what fission/peeling/fusion changed:
 * which transform produced each unlocked loop.
 
 This backs ``repro transform`` and the "Transform unlock" section of
-``repro figures``. The transformed modules are re-verified by
-the regular crosscheck (``repro crosscheck`` with ``REPRO_TRANSFORM=1``):
-a post-transform ``STATIC_DOALL`` that conflicts dynamically lands in
-``unsound-static-doall`` exactly like an untransformed one.
+``repro figures``. ``repro transform --crosscheck`` re-verifies the
+transformed modules: it profiles each with ``transform=True`` and runs the
+regular crosscheck, so a post-transform ``STATIC_DOALL`` that conflicts
+dynamically lands in ``unsound-static-doall`` exactly like an
+untransformed one.
 """
 
 from __future__ import annotations

@@ -405,9 +405,6 @@ class ProgramProfile:
             worklist.extend(reversed(invocation.children))
         return result
 
-    def invocations_of(self, loop_id):
-        return [inv for inv in self.all_invocations() if inv.loop_id == loop_id]
-
     def _tree(self):
         starts = self.starts.tolist()
         consumers = self.pair_consumer.tolist()

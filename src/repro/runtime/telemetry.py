@@ -259,19 +259,25 @@ def format_runs_table(manifests):
 
 
 def format_run_summary(manifest):
-    """The ``repro runs show RUN_ID`` / ``repro figures`` summary block."""
-    outcomes = manifest.get("outcomes") or {}
+    """The ``repro runs show RUN_ID`` / ``repro figures`` summary block.
+
+    It prints only what the run recorded: the sweep tallies when it
+    counted a task, the fuzz tallies when it counted an oracle run."""
     lines = [
         f"run {manifest.get('run_id', '?')} [{manifest.get('status', '?')}]",
-        f"  tasks:        {manifest.get('tasks_done', 0)} done",
-        f"  profile cache: {manifest.get('cache_hits', 0)} hits, "
-        f"{manifest.get('cache_misses', 0)} misses",
-        f"  instructions: {manifest.get('instructions', 0)} profiled",
-        f"  task wall:    {manifest.get('task_wall_s', 0.0):.2f}s summed "
-        f"over tasks",
-        f"  outcomes:     {outcomes.get('parallel_loops', 0)} parallel / "
-        f"{outcomes.get('serial_loops', 0)} serial loop summaries",
     ]
+    if manifest.get("tasks_done"):
+        outcomes = manifest.get("outcomes") or {}
+        lines += [
+            f"  tasks:        {manifest['tasks_done']} done",
+            f"  profile cache: {manifest.get('cache_hits', 0)} hits, "
+            f"{manifest.get('cache_misses', 0)} misses",
+            f"  instructions: {manifest.get('instructions', 0)} profiled",
+            f"  task wall:    {manifest.get('task_wall_s', 0.0):.2f}s summed "
+            f"over tasks",
+            f"  outcomes:     {outcomes.get('parallel_loops', 0)} parallel / "
+            f"{outcomes.get('serial_loops', 0)} serial loop summaries",
+        ]
     for name, stats in sorted((manifest.get("cache_stats") or {}).items()):
         lines.append(
             f"  {name}: {stats.get('entries', 0)} entries, "

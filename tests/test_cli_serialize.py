@@ -1,11 +1,12 @@
 """CLI and profile-serialization tests."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import Loopapalooza, paper_configurations
 from repro.errors import FrameworkError
 from repro.runtime.serialize import (
@@ -96,6 +97,35 @@ class TestCLI:
         path.write_text("int main() { return ; }")
         code, _ = run_cli("run", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("command, selection", [
+        ("crosscheck", ["--suite", "eembc"]),
+        ("advise", ["--suite", "eembc"]),
+        ("advise", ["--suite"]),
+        ("transform", ["--suite", "eembc"]),
+        ("vec-report", ["--bench", "eembc/rgbcmy"]),
+    ])
+    def test_file_and_bench_selection_are_refused(self, demo_file, capsys,
+                                                  command, selection):
+        """A FILE and a bench selection are two targets: the command
+        runs neither, instead of silently dropping one."""
+        code, text = run_cli(command, demo_file, *selection)
+        assert (code, text) == (2, "")
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and error.count("\n") == 1
+        assert selection[0] in error
+
+    def test_no_global_fuel_option(self, demo_file):
+        """Every command profiles with its caller's fixed budget."""
+        with pytest.raises(SystemExit) as exited:
+            main(["--fuel", "1", "run", demo_file])
+        assert exited.value.code == 2
+        parser = build_parser()
+        [commands] = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        assert "--fuel" not in parser.format_help()
+        for name, sub in commands.choices.items():
+            assert "--fuel" not in sub.format_help(), name
 
     def test_cache_stats_prints_no_per_process_counters(self, tmp_path,
                                                        monkeypatch):

@@ -17,10 +17,13 @@ import pytest
 from repro import cli
 from repro.analysis.depend import VERDICT_DOALL
 from repro.core.static_info import ModuleStaticInfo
-from repro.fuzz.corpus import load_case, load_cases, replay_case
+from repro.fuzz import corpus as corpus_module
+from repro.fuzz.corpus import (QuarantineCase, load_case, load_cases,
+                               replay_case, store_case)
 from repro.fuzz.genprog import generate_program
 from repro.frontend.codegen import compile_source
-from repro.fuzz.harness import ORACLES, fuzz_campaign, run_oracles
+from repro.fuzz.harness import (DEFAULT_FUEL, ORACLES, fuzz_campaign,
+                                run_oracles)
 from repro.interp.interpreter import Interpreter
 from repro.runtime.telemetry import RunTelemetry, list_runs
 
@@ -206,6 +209,25 @@ def _cli(argv):
 def test_cli_replay_missing_case_exits_2(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_FUZZ_CORPUS", str(tmp_path))
     assert _cli(["fuzz", "--replay", "nope-s0-backends"]) == 2
+
+
+def test_cli_replays_at_the_campaign_budget(monkeypatch, tmp_path):
+    """``--replay`` runs the oracles at the budget the campaign
+    quarantined the case at, so a case that depends on running out of
+    instructions still reproduces."""
+    monkeypatch.setenv("REPRO_FUZZ_CORPUS", str(tmp_path))
+    case = QuarantineCase(seed=0, profile="affine", oracle="execution",
+                          detail="planted", source=LCD_SOURCE)
+    store_case(case)
+    budgets = []
+
+    def spy(source, name, fuel):
+        budgets.append(fuel)
+        return run_oracles(source, name=name, fuel=fuel)
+
+    monkeypatch.setattr(corpus_module, "run_oracles", spy)
+    assert _cli(["fuzz", "--replay", case.case_id]) == 0
+    assert budgets == [DEFAULT_FUEL]
 
 
 def test_cli_campaign_exit_codes(monkeypatch, tmp_path):

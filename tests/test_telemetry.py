@@ -100,6 +100,28 @@ def test_runs_registry_and_formatting(tmp_path, grid_results):
     assert list_runs(root=tmp_path) == []
 
 
+def test_summary_prints_only_what_the_run_recorded(tmp_path, grid_results):
+    """A fuzz run counts oracle runs, not sweep tasks, so its summary has
+    no sweep tallies; a sweep's summary keeps them and has no fuzz line."""
+    fuzz = RunTelemetry.create(root=tmp_path)
+    fuzz.fuzz_case(verdict="ok", wall_s=0.5)
+    fuzz.finish()
+    summary = format_run_summary(load_manifest(fuzz.run_id, root=tmp_path))
+    assert "  fuzz:         1 oracle runs, 0 quarantined" in summary
+    for tally in ("tasks:", "profile cache:", "instructions:", "task wall:",
+                  "outcomes:"):
+        assert tally not in summary
+
+    sweep = RunTelemetry.create(root=tmp_path)
+    task, results = next(iter(grid_results.items()))
+    sweep.task_done(task, results, cache_hit=True)
+    sweep.finish()
+    summary = format_run_summary(load_manifest(sweep.run_id, root=tmp_path))
+    assert "  tasks:        1 done" in summary
+    assert "  profile cache: 1 hits, 0 misses" in summary
+    assert "fuzz:" not in summary
+
+
 def test_runs_recorded_by_older_versions_still_list_and_purge(tmp_path):
     # Runs recorded before the manifest became the only record carry a
     # schema-1 manifest with retired fields, next to an event log.

@@ -1,10 +1,13 @@
 """Dependence-guided loop transformation tests: fission, peeling, fusion,
-loop provenance, pipeline fingerprinting, and the stale-analysis guard.
+loop provenance, pipeline fingerprinting, the stale-analysis guard, and
+the unlock report built from them.
 
 Each pass case pins three things at once: the transform fired (the module's
 ``transform_log`` says so), the dependence verdict improved the way the
 pass promises, and the program still computes the same result.
 """
+
+import json
 
 import pytest
 
@@ -29,6 +32,8 @@ from repro.analysis.loop_info import (
     loop_origin_root,
     record_loop_origin,
 )
+from repro.bench import find_program
+from repro.core import Loopapalooza
 from repro.errors import StaleAnalysisError
 from repro.frontend.codegen import compile_source
 from repro.interp.interpreter import run_module
@@ -37,8 +42,13 @@ from repro.passes import (
     pipeline_fingerprint,
     run_loop_fusion_module,
     run_transform_pipeline,
-    transform_enabled,
 )
+from repro.reporting.transform_report import (
+    TransformReport,
+    format_transform_figure,
+    transform_program,
+)
+from repro.runtime.serialize import profile_to_dict
 
 FISSION_SRC = """
 int A[64]; int B[64]; int S[64];
@@ -221,13 +231,21 @@ class TestPipelineFingerprint:
         assert plain.pipeline_fingerprint == pipeline_fingerprint(False)
         assert transformed.pipeline_fingerprint == pipeline_fingerprint(True)
 
-    def test_transform_enabled_reads_environment(self, monkeypatch):
+    def test_environment_cannot_turn_the_transforms_on(self, monkeypatch):
+        """The stage is switched by the ``transform`` argument alone: the
+        retired ``REPRO_TRANSFORM`` variable changes no compile and no
+        profile."""
+
+        def serialized_profile():
+            lp = Loopapalooza(FISSION_SRC, name="fission")
+            assert lp.transform is False
+            return json.dumps(profile_to_dict(lp.profile()), sort_keys=True)
+
         monkeypatch.delenv("REPRO_TRANSFORM", raising=False)
-        assert transform_enabled() is False
+        unset = serialized_profile()
         monkeypatch.setenv("REPRO_TRANSFORM", "1")
-        assert transform_enabled() is True
-        monkeypatch.setenv("REPRO_TRANSFORM", "0")
-        assert transform_enabled() is False
+        assert compile_source(FISSION_SRC).transform_log == []
+        assert serialized_profile() == unset
 
 
 class TestStaleAnalysisGuard:
@@ -281,3 +299,33 @@ class TestFusionOriginGate:
         changed = run_loop_fusion_module(module, ignore_origins=True)
         assert changed
         assert _result(module) == before
+
+
+class TestUnlockReport:
+    def test_fission_unlocks_one_bundled_loop(self):
+        program = find_program("specint2000/twolf_like")
+        rows, log = transform_program(program.source, program.full_name)
+        [row] = [row for row in rows if row.unlocked]
+        assert (row.loop_id, row.before) == ("main.for.cond5",
+                                             VERDICT_UNKNOWN)
+        assert row.after == [
+            ("main.for.cond5", VERDICT_UNKNOWN, ORIGIN_DISTR),
+            ("main.for.cond5.fiss1g1", VERDICT_DOALL, ORIGIN_DISTR),
+        ]
+        assert [(entry["pass"], entry["groups"], entry["serial_groups"])
+                for entry in log] == [("fission", 2, 1)]
+        assert "fission x1" in format_transform_figure(
+            TransformReport(rows, log))
+
+    def test_untouched_program_unlocks_nothing(self):
+        source = """
+        int A[64];
+        int main() {
+          for (int i = 0; i < 64; i = i + 1) { A[i] = i; }
+          return A[9];
+        }
+        """
+        rows, log = transform_program(source, "plain")
+        assert log == []
+        assert [row.before for row in rows] == [VERDICT_DOALL]
+        assert not any(row.unlocked for row in rows)
