@@ -99,6 +99,3 @@ class CFG:
                 stack.pop()
         self._rpo = list(reversed(post))
         return self._rpo
-
-    def post_order(self):
-        return list(reversed(self.reverse_post_order()))

@@ -1,16 +1,18 @@
-"""Snapshot-analysis invalidation registry.
+"""Snapshot-analysis invalidation.
 
 :class:`~repro.analysis.cfg.CFG` and
 :class:`~repro.analysis.loop_info.LoopInfo` are immutable snapshots of a
 function's control flow. Historically nothing stopped a caller from keeping
 one across a CFG-mutating pass and silently reading blocks that no longer
-exist. Every snapshot now registers itself here on construction; the pass
-manager calls :func:`invalidate_module_analyses` between pipeline stages,
-after which any query against a stale snapshot raises
+exist. Every snapshot now registers itself with its function on
+construction (``Function.snapshots``, a weak set); the pass manager calls
+:func:`invalidate_module_analyses` at every stage boundary, after which any
+query against a stale snapshot raises
 :class:`~repro.errors.StaleAnalysisError`.
 
-The registry holds weak references only — snapshots die with their owners
-and invalidation is O(live snapshots), which in practice is a handful.
+Invalidation visits only the snapshots of the module or function it is
+given, so compiling one program never touches the snapshots other
+programs' modules still hold.
 """
 
 from __future__ import annotations
@@ -19,43 +21,35 @@ import weakref
 
 from ..errors import StaleAnalysisError
 
-# Live analysis snapshots. Each member has a `function` attribute (whose
-# owning module identifies it for scoped invalidation) and a `_stale` flag.
-_LIVE_SNAPSHOTS = weakref.WeakSet()
-
 
 def register_snapshot(analysis):
-    """Track a newly built analysis snapshot for later invalidation."""
-    _LIVE_SNAPSHOTS.add(analysis)
+    """Track a newly built snapshot with its function for invalidation."""
+    function = analysis.function
+    if function.snapshots is None:
+        function.snapshots = weakref.WeakSet()
+    function.snapshots.add(analysis)
 
 
 def invalidate_module_analyses(module=None, function=None):
-    """Mark live CFG/LoopInfo snapshots stale.
+    """Mark the CFG/LoopInfo snapshots of ``function``, or of every function
+    of ``module``, stale.
 
-    With ``function`` set, only snapshots of that function are invalidated;
-    with ``module`` set, snapshots of any function belonging to it; with
-    neither, every live snapshot. Returns the number invalidated.
+    A stale snapshot never becomes fresh again, so the function stops
+    tracking it.
     """
-    count = 0
-    for analysis in list(_LIVE_SNAPSHOTS):
-        if analysis._stale:
-            continue
-        owner = getattr(analysis, "function", None)
-        if function is not None and owner is not function:
-            continue
-        if module is not None and getattr(owner, "module", None) is not module:
-            continue
-        analysis._stale = True
-        count += 1
-    return count
+    owners = (function,) if function is not None else module.functions.values()
+    for owner in owners:
+        if owner.snapshots is not None:
+            for analysis in owner.snapshots:
+                analysis._stale = True
+            owner.snapshots = None
 
 
 def check_fresh(analysis, kind):
     """Raise :class:`StaleAnalysisError` if ``analysis`` was invalidated."""
     if analysis._stale:
-        owner = getattr(analysis, "function", None)
-        name = getattr(owner, "name", "<unknown>")
         raise StaleAnalysisError(
-            f"stale {kind} snapshot for function '{name}' queried after a "
-            f"CFG-mutating pass; rebuild the analysis instead of reusing it"
+            f"stale {kind} snapshot for function '{analysis.function.name}' "
+            f"queried after a CFG-mutating pass; rebuild the analysis instead "
+            f"of reusing it"
         )

@@ -23,8 +23,8 @@ Commands:
   soundness, no runtime fault), delta-minimize and quarantine any
   disagreement in the corpus (``fuzz_corpus/``, or the directory
   ``REPRO_FUZZ_CORPUS`` names); ``--replay CASE`` re-runs one
-  quarantined reproducer. ``--count`` and ``--time-budget`` must be
-  above 0.
+  quarantined reproducer and refuses the campaign options with exit
+  status 2. ``--count`` and ``--time-budget`` must be above 0.
 * ``evaluate FILE``   — evaluate one or more configurations (``--config``,
   repeatable; defaults to the paper's 14).
 * ``diagnose FILE``   — per-loop relaxation ladder: the first configuration
@@ -431,6 +431,10 @@ def _cmd_transform(args, out):
     return 1 if crosscheck.unsound else 0
 
 
+#: The ``repro fuzz`` options of a campaign, which ``--replay`` refuses.
+_CAMPAIGN_OPTIONS = ("seed", "count", "time_budget", "profile", "no_shrink")
+
+
 def _cmd_fuzz(args, out):
     """Differential fuzzing: generate seeded MiniC programs, run every
     oracle on each, shrink and quarantine any disagreement."""
@@ -438,7 +442,16 @@ def _cmd_fuzz(args, out):
     from .fuzz.harness import fuzz_campaign
     from .runtime.telemetry import RunTelemetry, format_run_summary
 
-    if args.replay:
+    # Only the options given are set (see the parser's SUPPRESS defaults).
+    campaign = {name: getattr(args, name) for name in _CAMPAIGN_OPTIONS
+                if hasattr(args, name)}
+    if args.replay is not None:
+        if campaign:
+            given = ", ".join("--" + name.replace("_", "-")
+                              for name in campaign)
+            print(f"error: `repro fuzz --replay` re-runs one stored case "
+                  f"and takes no campaign option ({given})", file=sys.stderr)
+            return 2
         case = load_case(args.replay)
         if case is None:
             print(f"error: no quarantined case {args.replay!r} "
@@ -459,13 +472,10 @@ def _cmd_fuzz(args, out):
     telemetry = RunTelemetry.create()
     print(f"run id: {telemetry.run_id}", file=out)
     summary = fuzz_campaign(
-        seed=args.seed,
-        count=args.count,
-        profile=args.profile,
-        time_budget=args.time_budget,
         telemetry=telemetry,
-        shrink=not args.no_shrink,
+        shrink=not campaign.pop("no_shrink", False),
         log=lambda message: print(message, file=out),
+        **campaign,
     )
     telemetry.finish(status="complete" if summary.ok else "quarantined")
     print(summary.describe(), file=out)
@@ -616,21 +626,24 @@ def build_parser():
                      "evidence",
             )
         if name == "fuzz":
+            # SUPPRESS: an option not given is absent from the namespace,
+            # so `--replay` can tell it was not given and the campaign
+            # supplies the default the help names.
             sub.add_argument(
-                "--seed", type=int, default=0,
+                "--seed", type=int, default=argparse.SUPPRESS,
                 help="first generator seed (default: 0)",
             )
             sub.add_argument(
-                "--count", type=_positive(int), default=100,
+                "--count", type=_positive(int), default=argparse.SUPPRESS,
                 help="number of consecutive seeds to fuzz (default: 100)",
             )
             sub.add_argument(
-                "--time-budget", type=_positive(float), default=None,
-                metavar="SECONDS",
+                "--time-budget", type=_positive(float),
+                default=argparse.SUPPRESS, metavar="SECONDS",
                 help="stop starting new cases after this much wall time",
             )
             sub.add_argument(
-                "--profile", default="mixed",
+                "--profile", default=argparse.SUPPRESS,
                 choices=("affine", "calls", "transforms", "mixed"),
                 help="generator grammar bias (default: mixed)",
             )
@@ -638,10 +651,11 @@ def build_parser():
                 "--replay", default=None, metavar="CASE",
                 help="re-run the oracle on one quarantined case (a case id "
                      "like mixed-s7-backends, or a path to its JSON file); "
-                     "exits 1 while the case still reproduces",
+                     "exits 1 while the case still reproduces, and takes "
+                     "none of the other options",
             )
             sub.add_argument(
-                "--no-shrink", action="store_true",
+                "--no-shrink", action="store_true", default=argparse.SUPPRESS,
                 help="quarantine the original program without "
                      "delta-minimizing it first",
             )

@@ -28,15 +28,6 @@ from .static_info import PHI_COMPUTABLE, phi_key_for
 INSTRUMENTATION_VERSION = 1
 
 
-def jit_variant_for(plan, runtime):
-    """Which codegen variant a run needs: ``True`` (instrumented) whenever
-    a runtime is attached — even with an empty or missing plan, because a
-    callee's memory traffic still feeds the caller's loop conflict
-    tracking. ``False`` selects the zero-callback uninstrumented variant.
-    """
-    return runtime is not None
-
-
 def build_instrumentation(static_info):
     """Return ``{function_name: FunctionInstrumentation}`` for a module."""
     plans = {}

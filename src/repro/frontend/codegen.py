@@ -371,16 +371,16 @@ class CodeGenerator:
         )
 
 
-def compile_source(source, module_name="program", optimize=True,
-                   verify_each=False, inline=False, transform=False):
+def compile_source(source, module_name="program", verify_each=False,
+                   inline=False, transform=False):
     """Compile MiniC source to an IR module.
 
-    With ``optimize`` (the default) the standard pass pipeline runs, leaving
-    the module in the canonical form the Loopapalooza compile-time component
-    expects. ``inline`` additionally runs the (non-default) function inliner
-    first — used by the inlining ablation, not by the study itself.
-    ``transform`` opts the pipeline into the structural loop stage
-    (fission/peel/fusion).
+    The standard pass pipeline runs, leaving the module in the canonical
+    form the Loopapalooza compile-time component expects (``verify_each``
+    verifies after each of its stages). ``inline`` additionally runs the
+    (non-default) function inliner first — used by the inlining ablation,
+    not by the study itself. ``transform`` opts the pipeline into the
+    structural loop stage (fission/peel/fusion).
     """
     program = parse(source)
     sema_result = analyze(program)
@@ -393,9 +393,8 @@ def compile_source(source, module_name="program", optimize=True,
 
         run_inline_module(module)
         verify_module(module)
-    if optimize:
-        from ..passes.pass_manager import run_standard_pipeline
+    from ..passes.pass_manager import run_standard_pipeline
 
-        run_standard_pipeline(module, verify_each=verify_each,
-                              transform=transform)
+    run_standard_pipeline(module, verify_each=verify_each,
+                          transform=transform)
     return module

@@ -436,13 +436,14 @@ class Interpreter:
         if name in self._jit_failed:
             return None
         from .codegen import CodegenUnsupported, jit_entry
-        from ..core.instrument import jit_variant_for
 
-        plan = self.instrumentation.get(name)
         try:
+            # The instrumented variant whenever a runtime is attached, even
+            # with an empty or missing plan: a callee's memory traffic still
+            # feeds the caller's loop conflict tracking.
             entry = jit_entry(
-                function, plan, jit_variant_for(plan, self.runtime),
-                vectorize=(self.backend == "vec"),
+                function, self.instrumentation.get(name),
+                self.runtime is not None, vectorize=(self.backend == "vec"),
             )
         except CodegenUnsupported:
             self._jit_failed.add(name)

@@ -20,7 +20,8 @@ class Function(Value):
     reference it directly via :class:`~repro.ir.instructions.Call`.
     """
 
-    __slots__ = ("function_type", "arguments", "blocks", "module", "intrinsic")
+    __slots__ = ("function_type", "arguments", "blocks", "module", "intrinsic",
+                 "snapshots")
 
     def __init__(self, function_type, name, module=None, intrinsic=None):
         super().__init__(function_type, name)
@@ -28,6 +29,10 @@ class Function(Value):
         self.module = module
         self.intrinsic = intrinsic
         self.blocks = []
+        #: The live CFG/LoopInfo snapshots of this function: a weak set
+        #: that ``analysis.invalidation`` creates for the first one and
+        #: drops when it marks them stale (``None`` while there are none).
+        self.snapshots = None
         self.arguments = [
             Argument(param_type, f"arg{index}", self, index)
             for index, param_type in enumerate(function_type.param_types)

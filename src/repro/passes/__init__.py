@@ -24,7 +24,6 @@ from .loop_peel import run_loop_peel, run_loop_peel_module
 from .mem2reg import run_mem2reg, run_mem2reg_module
 from .pass_manager import (
     PIPELINE_VERSION,
-    PipelineResult,
     pipeline_fingerprint,
     run_standard_pipeline,
     run_transform_pipeline,
@@ -34,7 +33,6 @@ from .simplify_cfg import run_simplify_cfg, run_simplify_cfg_module
 __all__ = [
     "IndVarsResult",
     "PIPELINE_VERSION",
-    "PipelineResult",
     "is_loop_simplified",
     "pipeline_fingerprint",
     "run_constfold",

@@ -6,33 +6,31 @@ then canonicalizes with loopsimplify/indvars. Our equivalent pipeline is:
     simplify-cfg -> mem2reg -> constfold -> gvn -> dce -> simplify-cfg
     -> loop-simplify -> licm -> indvars
 
-with verification after every stage when ``verify_each`` is set (the default
-in tests; off by default for speed in large sweeps). Setting the
-``REPRO_VERIFY_PASSES=1`` environment variable forces inter-pass
-verification everywhere — CI runs the full suite under it — and verifier
-failures are attributed to the stage that introduced them.
-
 With ``transform=True`` the opt-in structural stage runs after
 canonicalization:
 
     fission -> peel -> fusion -> loop-simplify -> dce
 
 The argument is the only switch: no environment variable turns the stage
-on, so what a module compiles to depends on the call alone (verification
-adds checks, never changes the IR).
+on, so what a module compiles to depends on the call alone.
 
-Each stage boundary *explicitly invalidates* every live CFG/LoopInfo
-snapshot of the module: a pass that cached an analysis across a mutation
-now raises :class:`~repro.errors.StaleAnalysisError` instead of silently
-computing with blocks that no longer exist (the bug this invalidation
-protocol flushed out). The pipeline configuration is fingerprinted onto
+Both pipelines run their stages through :func:`_run_stages`. A stage
+boundary invalidates the CFG/LoopInfo snapshots of the module's functions,
+so a pass that cached an analysis across a mutation raises
+:class:`~repro.errors.StaleAnalysisError` instead of silently computing
+with blocks that no longer exist. With ``verify_each`` the boundary also
+verifies the IR, and a failure names the stage that broke it; the fuzz
+``verifier`` oracle and the pass tests set it, and it is off by default
+because verifying every stage slows compiling down markedly. The last
+stage of each pipeline is always verified. Verification adds checks and
+never changes the IR.
+
+The pipeline configuration is fingerprinted onto
 ``module.pipeline_fingerprint`` so code caches keyed on the printed IR can
 tell apart entries produced under different pipelines.
 """
 
 from __future__ import annotations
-
-import os
 
 from ..analysis.invalidation import invalidate_module_analyses
 from ..errors import VerificationError
@@ -55,35 +53,6 @@ from .simplify_cfg import run_simplify_cfg_module
 PIPELINE_VERSION = 1
 
 
-class PipelineResult:
-    """What the standard pipeline did to a module."""
-
-    def __init__(self):
-        self.promoted_allocas = 0
-        self.folded_constants = 0
-        self.gvn_removed = 0
-        self.removed_instructions = 0
-        self.cfg_edits = 0
-        self.loop_edits = 0
-        self.hoisted = 0
-        self.indvars = {}
-        self.fissioned = 0
-        self.peeled = 0
-        self.fused = 0
-
-    def __repr__(self):
-        return (
-            f"<PipelineResult promoted={self.promoted_allocas} "
-            f"folded={self.folded_constants} dce={self.removed_instructions} "
-            f"cfg={self.cfg_edits} loops={self.loop_edits}>"
-        )
-
-
-def verify_passes_forced():
-    """Is inter-pass verification forced via ``REPRO_VERIFY_PASSES``?"""
-    return os.environ.get("REPRO_VERIFY_PASSES", "0") not in ("", "0")
-
-
 def pipeline_fingerprint(transform):
     """A short stable token naming the pipeline configuration that produced
     a module. Folded into code-cache keys (see ``interp.codegen``): two
@@ -103,73 +72,53 @@ def _checkpoint(module, stage):
         ) from None
 
 
+def _run_stages(module, stages, verify_each):
+    """Run each ``(stage, pass)`` of ``stages`` on ``module`` in order.
+
+    Every pass just mutated the IR, so each boundary marks the module's
+    CFG/LoopInfo snapshots stale (the bug this guards: a cached LoopInfo
+    surviving simplify-cfg handed licm dead headers). With ``verify_each``
+    every boundary verifies; otherwise only the last one does.
+    """
+    for stage, run_pass in stages:
+        run_pass(module)
+        invalidate_module_analyses(module)
+        if verify_each:
+            _checkpoint(module, stage)
+    if not verify_each:
+        _checkpoint(module, stage)
+
+
 def run_standard_pipeline(module, verify_each=False, transform=False):
     """Run the study's compilation pipeline on ``module`` in place.
 
     ``transform`` opts into the structural stage (fission/peel/fusion).
     """
-    result = PipelineResult()
-    verify_each = verify_each or verify_passes_forced()
-
-    def checkpoint(stage):
-        # Every pass just mutated the IR: any CFG/LoopInfo snapshot built
-        # against the previous stage is now a lie. Kill them all so a
-        # stale reuse raises StaleAnalysisError instead of returning
-        # blocks that were merged or erased (the bug this fixed: a cached
-        # LoopInfo surviving simplify-cfg handed licm dead headers).
-        invalidate_module_analyses(module)
-        if verify_each:
-            _checkpoint(module, stage)
-
-    result.cfg_edits += run_simplify_cfg_module(module)
-    checkpoint("simplify-cfg")
-    result.promoted_allocas = run_mem2reg_module(module)
-    checkpoint("mem2reg")
-    result.folded_constants = run_constfold_module(module)
-    checkpoint("constfold")
-    result.gvn_removed = run_gvn_module(module)
-    checkpoint("gvn")
-    result.removed_instructions = run_dce_module(module)
-    checkpoint("dce")
-    result.cfg_edits += run_simplify_cfg_module(module)
-    checkpoint("simplify-cfg (late)")
-    result.loop_edits = run_loop_simplify_module(module)
-    checkpoint("loop-simplify")
-    result.hoisted = run_licm_module(module)
-    checkpoint("licm")
-    result.indvars = run_indvars_module(module)
-    _checkpoint(module, "indvars")
-    invalidate_module_analyses(module)
+    _run_stages(module, (
+        ("simplify-cfg", run_simplify_cfg_module),
+        ("mem2reg", run_mem2reg_module),
+        ("constfold", run_constfold_module),
+        ("gvn", run_gvn_module),
+        ("dce", run_dce_module),
+        ("simplify-cfg (late)", run_simplify_cfg_module),
+        ("loop-simplify", run_loop_simplify_module),
+        ("licm", run_licm_module),
+        ("indvars", run_indvars_module),
+    ), verify_each)
     if transform:
-        run_transform_pipeline(module, result=result,
-                               verify_each=verify_each)
+        run_transform_pipeline(module, verify_each=verify_each)
     module.pipeline_fingerprint = pipeline_fingerprint(transform)
-    return result
 
 
-def run_transform_pipeline(module, result=None, verify_each=False):
+def run_transform_pipeline(module, verify_each=False):
     """The opt-in structural stage: dependence-guided fission, peeling and
     fusion, followed by re-canonicalization and cleanup. Runs after the
     standard pipeline (the passes assume simplified, indvars-canonical
-    loops). Returns the :class:`PipelineResult` it updated."""
-    if result is None:
-        result = PipelineResult()
-    verify_each = verify_each or verify_passes_forced()
-
-    def checkpoint(stage):
-        invalidate_module_analyses(module)
-        if verify_each:
-            _checkpoint(module, stage)
-
-    result.fissioned = run_loop_fission_module(module)
-    checkpoint("loop-fission")
-    result.peeled = run_loop_peel_module(module)
-    checkpoint("loop-peel")
-    result.fused = run_loop_fusion_module(module)
-    checkpoint("loop-fusion")
-    result.loop_edits += run_loop_simplify_module(module)
-    checkpoint("loop-simplify (post-transform)")
-    result.removed_instructions += run_dce_module(module)
-    _checkpoint(module, "dce (post-transform)")
-    invalidate_module_analyses(module)
-    return result
+    loops)."""
+    _run_stages(module, (
+        ("loop-fission", run_loop_fission_module),
+        ("loop-peel", run_loop_peel_module),
+        ("loop-fusion", run_loop_fusion_module),
+        ("loop-simplify (post-transform)", run_loop_simplify_module),
+        ("dce (post-transform)", run_dce_module),
+    ), verify_each)

@@ -17,7 +17,6 @@ from ..bench.suites import (
     suite_programs,
 )
 from ..core.config import BEST_HELIX, BEST_PDOALL, LPConfig, paper_configurations
-from ..frontend.codegen import compile_source
 from ..interp.veccodegen import summarize_vec_decisions, vector_decisions
 from ..runtime.profile_store import default_code_cache
 from .advisor import advise_suites, format_advice
@@ -206,7 +205,7 @@ def paper_run(runner, telemetry):
         *figures,
     ]
     telemetry.record_cache_stats(_cache_stats(runner))
-    telemetry.record_vec_decisions(_vec_decisions())
+    telemetry.record_vec_decisions(_vec_decisions(runner))
     return sections, paper_violations(crosscheck)
 
 
@@ -250,14 +249,15 @@ def _cache_stats(runner):
     return stats
 
 
-def _vec_decisions():
+def _vec_decisions(runner):
     """Vectorizer decision summary over the bundled suites: how many
     innermost loops the vector tier takes and why the rest bail out.
-    Planner-only — no execution — so it is cheap even on a warm run where
-    every profile came from the cache."""
+    Planner-only, on the module and instrumentation the runner already
+    built for each program, so it compiles and executes nothing."""
     decisions = []
     for program in all_programs():
-        decisions.extend(vector_decisions(compile_source(program.source)))
+        lp = runner.instance(program)
+        decisions.extend(vector_decisions(lp.module, lp.instrumentation))
     return summarize_vec_decisions(decisions)
 
 

@@ -230,6 +230,32 @@ def test_cli_replays_at_the_campaign_budget(monkeypatch, tmp_path):
     assert budgets == [DEFAULT_FUEL]
 
 
+@pytest.mark.parametrize("option", [
+    ["--seed", "9"], ["--seed", "0"], ["--count", "50"],
+    ["--profile", "calls"], ["--time-budget", "1"], ["--no-shrink"],
+], ids=" ".join)
+def test_cli_replay_refuses_campaign_options(monkeypatch, tmp_path, capsys,
+                                            option):
+    """A campaign option cannot apply to a replay, so it is refused, before
+    the case is loaded, rather than silently dropped (even at its default
+    value)."""
+    monkeypatch.setenv("REPRO_FUZZ_CORPUS", str(tmp_path))
+    case = QuarantineCase(seed=0, profile="affine", oracle="execution",
+                          detail="planted", source=LCD_SOURCE)
+    store_case(case)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the case was loaded")
+
+    monkeypatch.setattr(corpus_module, "load_case", unreachable)
+    out = io.StringIO()
+    assert cli.main(["fuzz", "--replay", case.case_id, *option],
+                    out=out) == 2
+    assert out.getvalue() == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and option[0] in line
+
+
 def test_cli_campaign_exit_codes(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
     corpus = tmp_path / "corpus"

@@ -16,7 +16,7 @@ from repro.reporting.crosscheck import (
     crosscheck_suites,
 )
 from repro.reporting.experiments import paper_violations
-from repro.runtime.telemetry import list_runs
+from repro.runtime.telemetry import RunTelemetry, list_runs
 
 SECTION_TITLES = (
     "Table I", "Static crosscheck", "Transform unlock",
@@ -72,6 +72,27 @@ class TestPaperViolations:
         violations = paper_violations(_crosscheck(proved=1, unknown=2))
         assert violations == [
             "only 1/3 loops resolved statically, below the 40% floor"]
+
+
+def test_manifest_vec_decisions_match_fresh_compiles(runner, tmp_path):
+    """The paper run plans the vectorizer on the modules its runner
+    already compiled (and, on a cold run, executed); the summary it
+    records equals the one from a fresh compile of each program."""
+    from repro.bench import all_programs
+    from repro.frontend.codegen import compile_source
+    from repro.interp.veccodegen import (summarize_vec_decisions,
+                                         vector_decisions)
+
+    telemetry = RunTelemetry.create(root=tmp_path)
+    experiments.paper_run(runner, telemetry)
+    telemetry.finish()
+    [manifest] = list_runs(tmp_path)
+    fresh = summarize_vec_decisions([
+        decision for program in all_programs()
+        for decision in vector_decisions(compile_source(program.source))
+    ])
+    assert fresh["loops"] == 172
+    assert manifest["vec_decisions"] == fresh
 
 
 class TestFiguresCli:

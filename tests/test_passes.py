@@ -414,8 +414,7 @@ class TestLoopSimplifyIndvars:
               for (i = 3; i < 60; i = i + 2) { A[i] = i; }
               return 0;
             }
-            """,
-            optimize=True,
+            """
         )
         f = module.get_function("main")
         info = LoopInfo(f)
@@ -441,20 +440,8 @@ class TestLoopSimplifyIndvars:
 
 
 class TestForcedVerification:
-    """The REPRO_VERIFY_PASSES env contract: CI sets it to verify between
-    every pipeline stage, and failures name the stage that broke the IR."""
-
-    def test_env_flag_parsing(self, monkeypatch):
-        from repro.passes.pass_manager import verify_passes_forced
-
-        monkeypatch.delenv("REPRO_VERIFY_PASSES", raising=False)
-        assert not verify_passes_forced()
-        monkeypatch.setenv("REPRO_VERIFY_PASSES", "0")
-        assert not verify_passes_forced()
-        monkeypatch.setenv("REPRO_VERIFY_PASSES", "")
-        assert not verify_passes_forced()
-        monkeypatch.setenv("REPRO_VERIFY_PASSES", "1")
-        assert verify_passes_forced()
+    """``verify_each=True`` verifies the IR at every pipeline stage
+    boundary, and a failure names the stage that broke it."""
 
     def test_checkpoint_attributes_the_stage(self):
         from repro.errors import VerificationError
@@ -468,8 +455,47 @@ class TestForcedVerification:
             _checkpoint(module, "gvn")
         assert all(p.startswith("after gvn: ") for p in excinfo.value.problems)
 
-    def test_forced_pipeline_passes_on_valid_input(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_PASSES", "1")
-        module = compile_unoptimized(SAMPLE)
-        run_standard_pipeline(module)  # must not raise
-        assert verify_module(module)
+    @pytest.mark.parametrize("transform", [False, True],
+                             ids=["transforms-off", "transforms-on"])
+    def test_every_bundled_program_verifies_at_every_stage(self, transform):
+        from repro.bench import all_programs
+        from repro.frontend.codegen import compile_source
+
+        programs = all_programs()
+        assert len(programs) == 48
+        for program in programs:
+            compile_source(program.source, module_name=program.full_name,
+                           verify_each=True, transform=transform)
+
+    @pytest.mark.parametrize(
+        "pass_name, call, stage, transform, verify_each", [
+            ("run_licm_module", 1, "licm", False, True),
+            ("run_loop_fusion_module", 1, "loop-fusion", True, True),
+            # Without verify_each the last stage of each pipeline still is;
+            # with transforms on, the second dce is the last stage.
+            ("run_indvars_module", 1, "indvars", False, False),
+            ("run_dce_module", 2, "dce (post-transform)", True, False),
+        ], ids=["licm", "loop-fusion", "last-standard", "last-transform"])
+    def test_a_stage_that_breaks_the_ir_is_named(
+            self, monkeypatch, pass_name, call, stage, transform,
+            verify_each):
+        from repro.errors import VerificationError
+        from repro.frontend.codegen import compile_source
+        from repro.passes import pass_manager
+
+        run_pass = getattr(pass_manager, pass_name)
+        calls = []
+
+        def breaking(module):
+            run_pass(module)
+            calls.append(module)
+            if len(calls) == call:
+                module.get_function("main").append_block("unterminated")
+
+        monkeypatch.setattr(pass_manager, pass_name, breaking)
+        with pytest.raises(VerificationError) as excinfo:
+            compile_source(SAMPLE, verify_each=verify_each,
+                           transform=transform)
+        problems = excinfo.value.problems
+        assert problems
+        assert all(p.startswith(f"after {stage}: ") for p in problems)

@@ -92,6 +92,19 @@ int main() {
 }
 """
 
+SIBLINGS_SRC = """
+int A[16];
+int fill(int n) {
+  for (int i = 0; i < n; i = i + 1) { A[i] = i; }
+  return A[n - 1];
+}
+int main() {
+  int s = 0;
+  for (int j = 0; j < 4; j = j + 1) { s = s + fill(16); }
+  return s;
+}
+"""
+
 
 def _result(module):
     rc, _ = run_module(module)
@@ -286,6 +299,37 @@ class TestStaleAnalysisGuard:
         function = module.functions["main"]
         invalidate_module_analyses(module)
         assert LoopInfo(function).all_loops()
+
+    def test_module_scope_leaves_other_modules_fresh(self):
+        # Each snapshot belongs to its function: invalidating (or
+        # compiling) one module touches no other module's snapshots.
+        from repro.analysis.cfg import CFG
+
+        mine = compile_source(FISSION_SRC)
+        other = compile_source(FUSION_SRC)
+        mine_main, other_main = mine.functions["main"], other.functions["main"]
+        stale = LoopInfo(mine_main)
+        other_info, other_cfg = LoopInfo(other_main), CFG(other_main)
+        invalidate_module_analyses(mine)
+        with pytest.raises(StaleAnalysisError):
+            stale.all_loops()
+        assert mine_main.snapshots is None
+        compile_source(FRONT_PEEL_SRC, transform=True)
+        assert {other_info, other_cfg} <= set(other_main.snapshots)
+        assert len(other_info.all_loops()) == 2
+        assert other_cfg.successors(other_main.entry_block)
+
+    def test_function_scope_leaves_sibling_functions_fresh(self):
+        module = compile_source(SIBLINGS_SRC)
+        fill, main = module.functions["fill"], module.functions["main"]
+        fill_info, main_info = LoopInfo(fill), LoopInfo(main)
+        invalidate_module_analyses(function=fill)
+        with pytest.raises(StaleAnalysisError):
+            fill_info.all_loops()
+        with pytest.raises(StaleAnalysisError):
+            fill_info.cfg.successors(fill.entry_block)
+        assert len(main_info.all_loops()) == 1
+        assert main_info.cfg.successors(main.entry_block)
 
 
 class TestFusionOriginGate:
