@@ -11,11 +11,15 @@ install:
 test:
 	pytest tests/
 
-# Fixed-seed differential fuzzing campaign (~60s): exits non-zero if any
-# generated program trips an oracle and gets quarantined.
+# Fixed-seed differential fuzzing campaigns (under 60s): the mixed generator
+# profile, then the calls profile, which exercises the call records'
+# write sets. Exits non-zero if any generated program trips an oracle and
+# gets quarantined.
 fuzz-smoke:
 	python -m repro fuzz --seed 0 --count 60 --profile mixed \
-		--time-budget 55
+		--time-budget 30
+	python -m repro fuzz --seed 0 --count 60 --profile calls \
+		--time-budget 25
 
 fuzz-report:
 	python tools/fuzz_report.py

@@ -23,9 +23,10 @@ from ..ir.instructions import Instruction
 from .static_info import PHI_COMPUTABLE, phi_key_for
 
 #: Bump whenever the instrumentation plan (what gets hooked, event
-#: ordering, timestamp conventions) changes: recorded profiles depend on
-#: it, so the persistent profile cache keys on this number.
-INSTRUMENTATION_VERSION = 1
+#: ordering, timestamp conventions) or the runtime's reading of its events
+#: changes: recorded profiles depend on both, so the persistent profile
+#: cache keys on this number.
+INSTRUMENTATION_VERSION = 2
 
 
 def build_instrumentation(static_info):

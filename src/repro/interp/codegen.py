@@ -13,10 +13,29 @@ is lowered once to a Python function whose body is straight-line code:
 
 Two variants exist per function. The *uninstrumented* one has zero
 callback overhead — no runtime, no timestamps, just the fuel charge per
-block. The *instrumented* one batches memory and register-LCD events of
-each call-free block into flat lists flushed once per block through
-:meth:`ProfilingRuntime.deliver_block_events`; blocks containing calls
-emit events immediately (callee events and call records interleave).
+block. The *instrumented* one does the profiling runtime's per-event work
+inline (see :mod:`repro.runtime.recorder`):
+
+* a load checks the frame's pending call record (local ``_pc``), then
+  its address's shadow entry against the window held in the locals
+  ``_lo, _hi, _ep``, and calls ``conflict_at`` only on a hit;
+* a store writes its packed epoch and timestamp to the shadow table and
+  joins the innermost active call's write set (local ``_ws``);
+* each loop invocation's iteration starts, epochs and, per tracked phi,
+  latch values, def offsets and use offsets live in locals of the frame,
+  bound to the lists of the record ``loop_enter`` returns. The latch edge
+  does the iteration's bookkeeping itself, exit edges append the last
+  iteration's use offsets, and a register-LCD hook inside its loop's
+  body updates the frame's locals. A hook outside the body emits nothing:
+  its loop is never active in this frame there, so the runtime's frame
+  rule would ignore it. (A ``return`` never lies inside a loop's body: it
+  cannot reach the latch, so the edge into its block is one of the
+  loop's exit edges.)
+
+The runtime is called only for loop entry and exit, user calls and
+conflicts. The window locals are reloaded after every loop entry and
+exit, every user call and every vector section; an iteration sets them
+itself.
 
 The dynamic cost lives in a local ``_cost`` synced to ``machine.cost`` in
 a ``try``/``finally`` and around every call, so fuel accounting and every
@@ -71,6 +90,7 @@ from .interpreter import (
     unsigned_rem,
 )
 from .intrinsics import INTRINSICS
+from .memory import TS_BITS
 from .veccodegen import (
     VEC_VERSION,
     emit_vec_section,
@@ -81,7 +101,7 @@ from .veccodegen import (
 
 #: Bump whenever the generated-source template changes; part of the code
 #: cache key, so stale cached sources are never reused.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 
 class CodegenUnsupported(Exception):
@@ -209,8 +229,7 @@ class _Emitter:
         self.vec_decisions = []
         self.labels = {}        # id(block) -> int label
         self.reg = {}           # id(value) -> local name
-        self.batch = {}         # id(block) -> bool
-        self.flush = {}         # id(block) -> bool
+        self.loops = {}         # loop_id -> _LoopLocals (instrumented only)
         self.globals_used = {}  # global name -> prologue local
         self.funcs_used = {}    # function name -> prologue local
         self.intr_used = {}     # intrinsic name -> prologue local
@@ -281,19 +300,8 @@ class _Emitter:
             self.vec_loops, self.vec_decisions = plan_vector_loops(
                 function, self.plan, self.instrumented
             )
-
-        for block in blocks:
-            if not self.instrumented:
-                self.batch[id(block)] = False
-                self.flush[id(block)] = False
-                continue
-            batch = not any(
-                isinstance(i, Call)
-                or (plan is not None and plan.call_use_hooks.get(id(i)))
-                for i in block.instructions
-            )
-            self.batch[id(block)] = batch
-            self.flush[id(block)] = batch and self._block_has_events(block)
+        if plan is not None:
+            self.loops = _loop_locals(function, plan)
 
         body = []  # (indent, text) relative to the dispatch arm
         for index, block in enumerate(blocks):
@@ -302,20 +310,6 @@ class _Emitter:
             body.extend(self._block_lines(block))
 
         return self._assemble(body)
-
-    def _block_has_events(self, block):
-        """Whether a batched block (or its incoming phi hooks) ever appends
-        to the event lists, i.e. whether it needs a flush."""
-        plan = self.plan
-        for instruction in block.instructions:
-            if isinstance(instruction, (Load, Store)):
-                return True
-            if plan is not None and (
-                plan.def_hooks.get(id(instruction))
-                or plan.use_hooks.get(id(instruction))
-            ):
-                return True
-        return False
 
     def _assemble(self, body):
         function = self.function
@@ -331,12 +325,13 @@ class _Emitter:
         lines.append((1, "_fuel = machine.fuel"))
         if self.instrumented:
             lines.append((1, "_rt = machine.runtime"))
-        if "marks" in self.needs:
-            lines.append((1, "_marks = _rt.current_marks"))
-        if "deliver" in self.needs:
-            lines.append((1, "_deliver = _rt.deliver_block_events"))
-            lines.append((1, "_mem = []"))
-            lines.append((1, "_lcd = []"))
+            lines.append((1, "_lo, _hi, _ep = _rt.window"))
+        if "shadow" in self.needs:
+            lines.append((1, "_sh = _rt.shadow"))
+        if "writes" in self.needs:
+            lines.append((1, "_ws = _rt.write_set"))
+        if self.plan is not None and self.plan.call_sites:
+            lines.append((1, "_pc = None"))
         for name, local in self.globals_used.items():
             lines.append((1, f"{local} = machine.global_bases[{name!r}]"))
         for name, local in self.funcs_used.items():
@@ -372,7 +367,6 @@ class _Emitter:
             out.append((1, f"_cost += {cost}"))
         out.append((1, "if _cost > _fuel: raise _FuelExhausted(_fuel)"))
 
-        batch = self.batch[id(block)]
         terminator = None
         terminator_position = None
         for position, instruction in enumerate(block.instructions):
@@ -382,7 +376,7 @@ class _Emitter:
                 terminator = instruction
                 terminator_position = position
                 continue
-            for text in self._op_lines(instruction, position, batch):
+            for text in self._op_lines(instruction, position, block):
                 out.append((1, text))
 
         if terminator is None:
@@ -391,18 +385,11 @@ class _Emitter:
             )
 
         # LCD-use hooks on the terminator fire at base + position.
-        plan = self.plan
-        if plan is not None:
-            for loop_id, phi_key in plan.use_hooks.get(id(terminator), ()):
-                out.append((1, self._lcd_line(
-                    False, loop_id, phi_key, f"_base + {terminator_position}", batch
-                )))
-
-        if self.flush[id(block)]:
-            self.needs.add("deliver")
-            out.append((1, "_deliver(_mem, _lcd)"))
-            out.append((1, "del _mem[:]"))
-            out.append((1, "del _lcd[:]"))
+        if self.plan is not None:
+            for text in self._lcd_lines(
+                terminator, f"_base + {terminator_position}", block
+            ):
+                out.append((1, text))
 
         out.extend(self._terminator_lines(block, terminator))
         return out
@@ -464,22 +451,16 @@ class _Emitter:
         plan = self.plan
         edge_key = (id(pred), id(succ))
         if plan is not None and not skip_actions:
-            actions = plan.edge_actions.get(edge_key)
-            if actions:
-                for kind, loop_id in actions:
-                    if kind == "iter":
-                        specs = plan.latch_values.get(edge_key, ())
-                        values = ", ".join(
-                            f"({phi_key!r}, {self.expr(value)})"
-                            for phi_key, value in specs
-                        )
-                        out.append(
-                            f"_rt.loop_iter({loop_id!r}, _cost, [{values}])"
-                        )
-                    elif kind == "enter":
-                        out.append(f"_rt.loop_enter({loop_id!r}, _cost)")
-                    else:
-                        out.append(f"_rt.loop_exit({loop_id!r}, _cost)")
+            for kind, loop_id in plan.edge_actions.get(edge_key, ()):
+                loop = self.loops[loop_id]
+                if kind == "iter":
+                    out.extend(loop.iter_lines(self.expr))
+                elif kind == "enter":
+                    out.extend(loop.enter_lines())
+                else:
+                    out.extend(loop.close_lines())
+                    out.append(f"_rt.loop_exit({loop_id!r}, _cost)")
+                    out.append("_lo, _hi, _ep = _rt.window")
 
         phis = [i for i in succ.instructions if isinstance(i, Phi)]
         if phis:
@@ -500,52 +481,52 @@ class _Emitter:
                 srcs = ", ".join(src for _, src in moves)
                 out.append(f"{dsts} = {srcs}")
             if plan is not None:
-                succ_batch = self.batch[id(succ)]
                 for phi in phis:
-                    for loop_id, phi_key in plan.def_hooks.get(id(phi), ()):
-                        out.append(self._lcd_line(
-                            True, loop_id, phi_key, "_cost", succ_batch
-                        ))
-                    for loop_id, phi_key in plan.use_hooks.get(id(phi), ()):
-                        out.append(self._lcd_line(
-                            False, loop_id, phi_key, "_cost", succ_batch
-                        ))
+                    out.extend(self._lcd_lines(phi, "_cost", succ))
         return out
 
-    def _lcd_line(self, is_def, loop_id, phi_key, ts_expr, batch):
-        if batch:
-            self.needs.add("deliver")
-            return (
-                f"_lcd.append(({is_def!r}, {loop_id!r}, {phi_key!r}, {ts_expr}))"
-            )
-        if is_def:
-            return f"_rt.lcd_def({loop_id!r}, {phi_key!r}, {ts_expr})"
-        return f"_rt.lcd_use({loop_id!r}, {phi_key!r}, {ts_expr})"
+    def _lcd_lines(self, instruction, ts_expr, block):
+        """The register-LCD hooks of ``instruction`` in ``block``, defs
+        first: each hook inside its loop's body updates the frame's
+        locals. A hook outside the body emits nothing: there its loop is
+        not active in this frame (not entered yet, or popped on an exit
+        edge), so the runtime's frame rule ignores the reference
+        interpreter's call for it."""
+        lines = []
+        plan = self.plan
+        for is_def, hooks in ((True, plan.def_hooks), (False, plan.use_hooks)):
+            for loop_id, phi_key in hooks.get(id(instruction), ()):
+                loop = self.loops[loop_id]
+                if id(block) not in loop.body:
+                    continue
+                phi = loop.phi_locals[phi_key]
+                if is_def:
+                    lines.append(f"_dt{phi} = {ts_expr}")
+                else:
+                    lines.append(f"if _fu{phi} is None: "
+                                 f"_fu{phi} = {ts_expr} - _is{loop.index}[-1]")
+        return lines
 
     # -- instructions -------------------------------------------------------------
 
-    def _op_lines(self, instruction, position, batch):
+    def _op_lines(self, instruction, position, block):
         lines = []
         plan = self.plan
         if plan is not None:
             for site_id in plan.call_use_hooks.get(id(instruction), ()):
                 # Result-use hooks fire before the consumer executes.
                 lines.append(
-                    f"_rt.call_result_use({site_id!r}, _base + {position})"
+                    f"_pc = _rt.call_result_use({site_id!r}, "
+                    f"_base + {position})"
                 )
-        lines.extend(self._core_lines(instruction, position, batch))
+        lines.extend(self._core_lines(instruction, position))
         if plan is not None:
-            for loop_id, phi_key in plan.def_hooks.get(id(instruction), ()):
-                lines.append(self._lcd_line(
-                    True, loop_id, phi_key, f"_base + {position}", batch
-                ))
-            for loop_id, phi_key in plan.use_hooks.get(id(instruction), ()):
-                lines.append(self._lcd_line(
-                    False, loop_id, phi_key, f"_base + {position}", batch
-                ))
+            lines.extend(
+                self._lcd_lines(instruction, f"_base + {position}", block)
+            )
         return lines
 
-    def _core_lines(self, instruction, position, batch):
+    def _core_lines(self, instruction, position):
         expr = self.expr
         if isinstance(instruction, BinaryOp):
             dst = self.reg[id(instruction)]
@@ -577,8 +558,8 @@ class _Emitter:
             zero = "0.0" if _alloc_zero_is_float(instruction.allocated_type) else "0"
             self.needs.update(("space", "alloc"))
             if self.instrumented:
-                self.needs.add("marks")
-                return [f"{dst} = _alloc({size}, {zero}, _marks())"]
+                # Born at the current epoch (``current_marks``).
+                return [f"{dst} = _alloc({size}, {zero}, _rt.epoch)"]
             return [f"{dst} = _alloc({size}, {zero}, None)"]
 
         if isinstance(instruction, Load):
@@ -587,13 +568,15 @@ class _Emitter:
             self.needs.update(("space", "load"))
             lines = [f"{dst} = _load({pointer})"]
             if self.instrumented:
-                if batch:
-                    self.needs.add("deliver")
+                self.needs.add("shadow")
+                ts = f"_base + {position}"
+                if self.plan is not None and self.plan.call_sites:
                     lines.append(
-                        f"_mem.append((False, {pointer}, _base + {position}))"
+                        f"if _pc is not None and {pointer} in _pc.write_set: "
+                        f"_pc.note_dependence({ts}); _pc = None"
                     )
-                else:
-                    lines.append(f"_rt.mem_read({pointer}, _base + {position})")
+                lines.append(f"if _lo <= _sh[{pointer}] < _hi: "
+                             f"_rt.conflict_at({pointer}, {ts})")
             return lines
 
         if isinstance(instruction, Store):
@@ -602,13 +585,9 @@ class _Emitter:
             self.needs.update(("space", "store"))
             lines = [f"_store({pointer}, {value})"]
             if self.instrumented:
-                if batch:
-                    self.needs.add("deliver")
-                    lines.append(
-                        f"_mem.append((True, {pointer}, _base + {position}))"
-                    )
-                else:
-                    lines.append(f"_rt.mem_write({pointer}, _base + {position})")
+                self.needs.update(("shadow", "writes"))
+                lines.append(f"_sh[{pointer}] = _ep + _base + {position}")
+                lines.append(f"if _ws is not None: _ws.add({pointer})")
             return lines
 
         if isinstance(instruction, GEP):
@@ -755,8 +734,106 @@ class _Emitter:
         lines.append(f"{assign}machine._call({function_local}, [{args}])")
         lines.append("_cost = machine.cost")
         if site_id is not None:
-            lines.append(f"_rt.call_end({site_id!r}, _cost)")
+            lines.append(f"_pc = _rt.call_end({site_id!r}, _cost)")
+        if self.instrumented:
+            lines.append("_lo, _hi, _ep = _rt.window")
         return lines
+
+
+class _LoopLocals:
+    """The frame locals of one instrumented loop: ``_is{index}`` and
+    ``_ie{index}`` are its invocation's iteration starts and epochs, and
+    per tracked phi ``j`` the lists ``_lv{j}``, ``_ld{j}`` and ``_lu{j}``
+    are its latch values, def offsets and use offsets, ``_dt{j}`` its
+    latest def timestamp (-1 before the first) and ``_fu{j}`` the current
+    iteration's first-use offset (None before the first)."""
+
+    def __init__(self, loop_id, index, body, phis, first_phi):
+        self.loop_id = loop_id
+        self.index = index
+        self.body = body            # ids of the blocks of the loop
+        self.phis = phis            # [(phi_key, latch value)], plan order
+        self.phi_locals = {phi_key: first_phi + offset
+                           for offset, (phi_key, _) in enumerate(phis)}
+
+    def enter_lines(self):
+        lines = [
+            f"_v = _rt.loop_enter({self.loop_id!r}, _cost)",
+            f"_is{self.index} = _v.iter_starts",
+            f"_ie{self.index} = _v.epochs",
+        ]
+        for phi_key, j in self.phi_locals.items():
+            lines += [
+                f"_lv{j} = _v.lcd_values[{phi_key!r}] = []",
+                f"_ld{j} = _v.lcd_def_offsets[{phi_key!r}] = []",
+                f"_lu{j} = _v.lcd_use_offsets[{phi_key!r}] = []",
+                f"_dt{j} = -1",
+                f"_fu{j} = None",
+            ]
+        lines.append("_lo, _hi, _ep = _rt.window")
+        return lines
+
+    def iter_lines(self, expr):
+        """The latch edge: close the iteration (latch values read before
+        the phi copy, def and first-use offsets), then start the next one
+        at a new epoch and set the window (this loop is innermost)."""
+        lines = []
+        if self.phis:
+            lines.append(f"_s = _is{self.index}[-1]")
+        for phi_key, value in self.phis:
+            j = self.phi_locals[phi_key]
+            lines += [
+                f"_lv{j}.append({expr(value)})",
+                f"_ld{j}.append(_dt{j} - _s if _dt{j} > _s else 0)",
+                f"_lu{j}.append(_fu{j})",
+                f"_fu{j} = None",
+            ]
+        lines += [
+            f"_is{self.index}.append(_cost)",
+            "_rt.epoch = _n = _rt.epoch + 1",
+            f"_ie{self.index}.append(_n)",
+            f"_hi = _ep = _n << {TS_BITS}",
+            "_rt.window = (_lo, _hi, _ep)",
+        ]
+        return lines
+
+    def close_lines(self):
+        """On an exit edge, before ``loop_exit``: the last iteration's use
+        offsets."""
+        return [f"_lu{j}.append(_fu{j})" for j in self.phi_locals.values()]
+
+
+def _loop_locals(function, plan):
+    """``{loop_id: _LoopLocals}`` for every loop the plan enters. A loop's
+    body is what its header reaches without taking one of its exit edges,
+    which the plan marks all."""
+    blocks = {id(block): block for block in function.blocks}
+    headers = {}
+    latch_values = {}
+    for (pred, succ), actions in plan.edge_actions.items():
+        for kind, loop_id in actions:
+            if kind == "enter":
+                headers[loop_id] = blocks[succ]
+            elif kind == "iter":
+                latch_values[loop_id] = plan.latch_values.get((pred, succ), ())
+    loops = {}
+    phi_count = 0
+    for loop_id in sorted(headers):
+        body = {id(headers[loop_id])}
+        worklist = [headers[loop_id]]
+        while worklist:
+            block = worklist.pop()
+            for successor in block.successors():
+                if id(successor) in body or ("exit", loop_id) in \
+                        plan.edge_actions.get((id(block), id(successor)), ()):
+                    continue
+                body.add(id(successor))
+                worklist.append(successor)
+        phis = list(latch_values.get(loop_id, ()))
+        loops[loop_id] = _LoopLocals(loop_id, len(loops), body, phis,
+                                     phi_count)
+        phi_count += len(phis)
+    return loops
 
 
 def generate_source(function, plan, instrumented, vectorize=False):

@@ -14,10 +14,15 @@ Three execution backends share this module's semantics, chosen by the
   (see :mod:`repro.interp.veccodegen`).
 * ``jit`` — each function is lowered to straight-line Python source by
   :mod:`repro.interp.codegen`, ``compile()``d once, and executed as a
-  native code object (see docs/internals.md, "Codegen backend").
+  native code object (see docs/internals.md, "Codegen backend"). Its
+  instrumented variant does the runtime's per-event bookkeeping inline
+  and calls the runtime only for loop entry and exit, calls, conflicts
+  and the end of the run.
 * ``closure`` — the reference interpreter: it walks the IR one
   instruction at a time and delivers every runtime event the moment it
-  happens. It is the independent oracle the fast tiers are checked
+  happens, through the runtime's per-event methods (``mem_read`` /
+  ``mem_write``, ``loop_iter`` with the latch values, ``lcd_def`` /
+  ``lcd_use``). It is the independent oracle the fast tiers are checked
   against, kept deliberately plain (see docs/internals.md, "Reference
   interpreter"). The JIT tiers also fall back to it, per function, for
   anything the code generator cannot lower.
@@ -34,7 +39,9 @@ callbacks:
   timestamp of its producing definition, and the first in-iteration use.
 
 The runtime object (see :mod:`repro.runtime.recorder`) receives these events
-and builds the execution profile.
+and builds the execution profile; it must be attached to the interpreter
+(``runtime.attach(machine)``) before the run, which starts the address
+space's shadow write table.
 """
 
 from __future__ import annotations

@@ -10,6 +10,14 @@ implement the paper's cactus-stack privatization (§II-E): a read never
 conflicts with a write made before its storage was born, so an access to
 storage born inside the current iteration of a loop can never be a
 loop-carried dependency of that loop.
+
+Once a profiling runtime attaches (:meth:`AddressSpace.track_writes`),
+the space also keeps its *shadow write table*: a list parallel to
+``slots`` holding each slot's latest write, packed as
+``(epoch << 40) + ts``, or :data:`NEVER_WRITTEN`. It grows together with
+``slots`` and is never reset: a write to storage that was later freed
+and reused is filtered by the birth rule, and a write older than the
+outermost active loop invocation lies below every conflict window.
 """
 
 from __future__ import annotations
@@ -18,12 +26,19 @@ from bisect import bisect_right
 
 from ..errors import TrapError
 
+#: The shadow table entry of a slot that was never written.
+NEVER_WRITTEN = -1
+#: Bits of a packed shadow entry below the epoch: every timestamp must be
+#: below ``2**TS_BITS``.
+TS_BITS = 40
+
 
 class AddressSpace:
     """Slot memory with allocation provenance tracking."""
 
     def __init__(self):
         self.slots = []
+        self.shadow = None  # the shadow write table, once tracked
         self.global_limit = 0
         # Parallel arrays of allocation start addresses and their birth
         # epochs, always sorted ascending (bump allocation).
@@ -37,9 +52,18 @@ class AddressSpace:
         """Reserve and initialize storage for a global; returns its base."""
         base = len(self.slots)
         self.slots.extend(variable.flat_initializer())
+        if self.shadow is not None:
+            self.shadow.extend([NEVER_WRITTEN] * (len(self.slots) - base))
         self.global_limit = len(self.slots)
         self._stack_pointer = self.global_limit
         return base
+
+    def track_writes(self):
+        """Start the shadow write table, one :data:`NEVER_WRITTEN` entry
+        per slot so far, and return it."""
+        if self.shadow is None:
+            self.shadow = [NEVER_WRITTEN] * len(self.slots)
+        return self.shadow
 
     # -- stack ------------------------------------------------------------------
 
@@ -54,6 +78,8 @@ class AddressSpace:
         needed = self._stack_pointer - len(self.slots)
         if needed > 0:
             self.slots.extend([zero_value] * needed)
+            if self.shadow is not None:
+                self.shadow.extend([NEVER_WRITTEN] * needed)
         else:
             for offset in range(size):
                 self.slots[base + offset] = zero_value

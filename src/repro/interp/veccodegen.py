@@ -1585,6 +1585,7 @@ class _VecEmitter:
                 f"_rt.vec_loop({vec.loop_id!r}, _cost, _vn, "
                 f"{vec.iter_cost}, _vt, [{tuples}])"
             )
+            out.append("_lo, _hi, _ep = _rt.window")
         out.append("_cost = _vt")
         out.extend(em._edge_lines(vec.header, vec.exit_block,
                                   skip_actions=True))

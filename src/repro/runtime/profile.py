@@ -195,6 +195,17 @@ def _segment_sums(mask, ends):
     return total[ends] - total[ends - np.diff(ends, prepend=0)]
 
 
+def _in_order(order, streams):
+    """``streams`` (a phi key -> list dict) with its keys in the order of
+    ``order``'s, then any others sorted."""
+    keys = [key for key in order if key in streams]
+    if len(keys) < len(streams):
+        keys += sorted(streams.keys() - order.keys())
+    if keys == list(streams):
+        return streams
+    return {key: streams[key] for key in keys}
+
+
 #: The per-record columns, in payload order, and their dtypes.
 RECORD_COLUMNS = (
     ("loop_of", np.int64), ("parent", np.int64), ("parent_iter", np.int64),
@@ -301,6 +312,12 @@ class ProgramProfile:
             if record_pairs))
         profile.pair_consumer = _int64([pair[0] for pair in ordered])
         profile.pair_producer = _int64([pair[1] for pair in ordered])
+        # Each record's streams in one canonical order, whatever order the
+        # recorder first saw each phi in: the order of its value streams
+        # (the plan's), then any other phi key sorted.
+        for _, field, _ in FAMILIES[1:]:
+            fields[field] = list(map(_in_order, fields["lcd_values"],
+                                     fields[field]))
         keys = {field: list(itertools.chain.from_iterable(fields[field]))
                 for _, field, _ in FAMILIES}
         profile.phi_table = list(dict.fromkeys(

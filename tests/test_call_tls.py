@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import Loopapalooza, estimate_call_tls, format_call_tls
 
+from helpers import on_all_backends
+
 
 def report_for(source, name="calltls"):
     lp = Loopapalooza(source, name)
@@ -85,6 +87,33 @@ class TestDependenceDetection:
         site = [s for s in report.sites.values() if "write_box" in s.site_id][0]
         assert site.dependent_calls == 20
         assert site.hidden_fraction < 0.6
+
+    def test_a_write_two_calls_deep_reaches_the_outer_call(self):
+        """A write goes to the innermost active call only; the calls around
+        it inherit it when the inner ones end. So the continuation of
+        ``outer`` depends on what ``leaf`` wrote, on every backend, and
+        ``mid``'s continuation inside ``outer`` never reads it."""
+        def sites(backend):
+            lp = Loopapalooza(
+                """
+                int BOX[8];
+                void leaf(int v) { BOX[1] = v; }
+                void mid(int v) { leaf(v); }
+                int outer(int v) { mid(v); return 5; }
+                int main() {
+                  int i; int sum = 0;
+                  for (i = 0; i < 10; i = i + 1) {
+                    outer(i);
+                    sum = sum + BOX[1];
+                  }
+                  return sum;
+                }
+                """, "deep", backend=backend)
+            return {site_id: summary.dependent_calls for site_id, summary
+                    in lp.profile().call_sites.items()}
+
+        assert on_all_backends(sites) == {
+            "main@outer#0": 10, "outer@mid#0": 0, "mid@leaf#0": 0}
 
     def test_late_memory_dependence_allows_partial_overlap(self):
         lp, report = report_for(

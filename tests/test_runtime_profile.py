@@ -1,6 +1,12 @@
-"""Profiling-runtime tests: invocation tree, conflicts, privatization, LCDs."""
+"""Profiling-runtime tests: invocation tree, conflicts, privatization,
+LCDs, and the runtime's contract with its caller."""
+
+import pytest
 
 from repro.core import Loopapalooza
+from repro.errors import FrameworkError
+from repro.interp.interpreter import Interpreter
+from repro.runtime.recorder import ProfilingRuntime
 
 from helpers import on_all_backends
 
@@ -386,3 +392,95 @@ class TestRegisterLCDRecording:
         assert len(defs) == inv.num_iterations - 1
         assert all(d >= 0 for d in defs)
         assert any(u is not None for u in uses)
+
+    def test_hooks_count_only_in_their_loops_frame(self):
+        """Under recursion the callee's ``return s + p`` uses s and p after
+        its own invocation of the loop has exited, while the caller's
+        invocation of the same loop is still active. Those uses belong to
+        no invocation: each caller iteration's first uses are its own,
+        after the recursive call returns, and on every backend."""
+        def run(backend):
+            profile = Loopapalooza(
+                """
+                int A[64];
+                int f(int d) {
+                  int i; int s = 0; int p = 1;
+                  for (i = 0; i < 6; i = i + 1) {
+                    if (d < 3) { A[d] = A[d] + f(d + 1); }
+                    s = s + A[i + d] * p;
+                    p = p * 3 + s;
+                  }
+                  return s + p;
+                }
+                int main() {
+                  int i;
+                  for (i = 0; i < 64; i = i + 1) { A[i] = i; }
+                  return f(0) & 65535;
+                }
+                """, "recursion", backend=backend).profile()
+            [outer] = [inv for inv in profile.top_level
+                       if inv.loop_id.startswith("f.")]
+            return {key.rsplit(":", 1)[1]: offsets
+                    for key, offsets in outer.lcd_use_offsets.items()}
+
+        # Counting the callee's return (at offset 4562 of each iteration)
+        # as the caller's first use would record 4562 for both.
+        assert on_all_backends(run) == {"s": [4568] * 6, "p": [4567] * 6}
+
+    def test_a_hook_of_a_callers_loop_is_ignored(self):
+        """The frame rule at the runtime's interface: a use reported while
+        the loop is active only in a caller's frame is not recorded."""
+        runtime = ProfilingRuntime()
+        runtime.attach(Interpreter(Loopapalooza(SMALL_LOOP).module, runtime))
+        runtime.func_enter("f")
+        runtime.loop_enter("f.loop", 100)
+        runtime.func_enter("f")
+        runtime.lcd_use("f.loop", "f.loop#0:s", 130)   # the callee's frame
+        runtime.lcd_def("f.loop", "f.loop#0:s", 131)
+        runtime.func_exit("f")
+        runtime.lcd_use("f.loop", "f.loop#0:s", 140)   # the loop's own frame
+        runtime.loop_iter("f.loop", 150, [("f.loop#0:s", 7)])
+        runtime.loop_exit("f.loop", 160)
+        runtime.func_exit("f")
+        [invocation] = runtime.finish(170).top_level
+        assert invocation.lcd_use_offsets == {"f.loop#0:s": [40]}
+        assert invocation.lcd_def_offsets == {"f.loop#0:s": [0]}
+
+
+SMALL_LOOP = """
+int A[8];
+int main() {
+  int i;
+  for (i = 1; i < 8; i = i + 1) { A[i] = A[i - 1] + i; }
+  return A[7];
+}
+"""
+
+
+class TestRuntimeContract:
+    def test_memory_event_before_attach_is_named(self):
+        """A memory event needs the shadow write table that ``attach``
+        starts; without it the runtime names the missing call."""
+        runtime = ProfilingRuntime()
+        with pytest.raises(FrameworkError, match=r"before attach\(\)"):
+            runtime.mem_write(3, 10)
+        with pytest.raises(FrameworkError, match=r"before attach\(\)"):
+            runtime.mem_read(3, 11)
+
+    def test_a_run_before_attach_fails_on_every_backend(self):
+        lp = Loopapalooza(SMALL_LOOP, "unattached")
+
+        def run(backend):
+            Interpreter(lp.module, ProfilingRuntime(), lp.instrumentation,
+                        backend=backend).run("main")
+
+        with pytest.raises(FrameworkError, match=r"before attach\(\)"):
+            on_all_backends(run)
+
+    def test_fuel_beyond_the_shadow_tables_timestamps_is_refused(self):
+        """A shadow entry packs the timestamp below the epoch in 40 bits,
+        so no timestamp may reach 2**40."""
+        with pytest.raises(FrameworkError, match=r"2\*\*40"):
+            Loopapalooza(SMALL_LOOP, "big", fuel=2 ** 40).profile()
+        profile = Loopapalooza(SMALL_LOOP, "edge", fuel=2 ** 40 - 1).profile()
+        assert profile.result == 28
